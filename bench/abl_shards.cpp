@@ -8,11 +8,13 @@
 //   items_per_second  — REAL acks/sec, measured inline on one thread.
 //     Gains here come purely from partitioned state: shorter scans,
 //     smaller tables. This is what a single core actually sustains.
-//   tpc_acks_per_sec  — thread-per-core projection: every op's cost is
-//     attributed to its shard, and the projected rate is acks divided by
-//     the BUSIEST shard's time — the standard critical-path model for N
-//     independent loops (valid because routed connections share nothing).
-//   model_speedup     — total attributed time / busiest shard's time.
+//   model_tpc_acks_per_sec — thread-per-core projection, a MODEL and not
+//     a measurement: every op's cost is attributed to its shard, and the
+//     projected rate is acks divided by the BUSIEST shard's time — the
+//     standard critical-path model for N independent loops (valid because
+//     routed connections share nothing).
+//   model_critical_path_speedup — total attributed time / busiest shard's
+//     time.
 //
 // google-benchmark binary; exported to BENCH_shard.json by
 // bench/bench_to_json.sh (which also stamps the host core count).
@@ -153,9 +155,10 @@ void BM_ShardedAcks(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(acks));
   if (busiest > 0.0) {
-    state.counters["tpc_acks_per_sec"] =
+    state.counters["model_tpc_acks_per_sec"] =
         benchmark::Counter(static_cast<double>(acks) / busiest);
-    state.counters["model_speedup"] = benchmark::Counter(total / busiest);
+    state.counters["model_critical_path_speedup"] =
+        benchmark::Counter(total / busiest);
   }
   state.counters["shards"] = benchmark::Counter(static_cast<double>(shards));
   state.counters["editors"] = benchmark::Counter(static_cast<double>(editors));

@@ -29,16 +29,19 @@ cmake --build "$BUILD" --target abl_diff_algos abl_persist abl_shards abl_overlo
 
 # Provenance stamp: which commit and build type produced these numbers.
 # A snapshot from a dirty tree is marked so regressions aren't chased
-# against unreproducible baselines.
+# against unreproducible baselines. Benchmark outputs (BENCH_*.json,
+# .bench_build/) do not count, as in bench/e2e/run.py.
 GIT_SHA="$(git -C "$ROOT" rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
-if ! git -C "$ROOT" diff --quiet HEAD 2>/dev/null; then
+DIRTY="$(git -C "$ROOT" status --porcelain 2>/dev/null | cut -c4- \
+  | grep -Ev '(^|/)BENCH_[^/]*\.json$|^\.bench_build/' || true)"
+if [ -n "$DIRTY" ]; then
   GIT_SHA="${GIT_SHA}-dirty"
 fi
 BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$BUILD/CMakeCache.txt" | head -n1)"
 BUILD_TYPE="${BUILD_TYPE:-unknown}"
-# Hardware context for the sharding sweep: the tpc_acks_per_sec projection
-# models one loop per core, so the core count the numbers were taken on is
-# part of their provenance.
+# Hardware context for the sharding sweep: the model_tpc_acks_per_sec
+# projection models one loop per core, so the core count the numbers were
+# taken on is part of their provenance.
 HOST_CORES="$(nproc 2>/dev/null || echo unknown)"
 
 # Inject the stamp into the benchmark JSON's "context" object. Google

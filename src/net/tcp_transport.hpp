@@ -102,6 +102,8 @@ class TcpListener {
   /// Bind and listen on 127.0.0.1:`port` (0 picks an ephemeral port).
   Status listen(u16 port);
   u16 port() const { return port_; }
+  /// Listening socket (for poll sets); -1 before listen().
+  int fd() const { return fd_; }
 
   /// Accept one connection if pending (non-blocking); nullptr if none.
   Result<std::unique_ptr<TcpTransport>> accept();

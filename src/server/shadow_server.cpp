@@ -364,8 +364,7 @@ std::size_t ShadowServer::reap_doomed() {
       for (auto& [key, state] : files_) {
         if (state.owner_client != raw->client_name) continue;
         if (state.pull_outstanding == 0) continue;
-        state.pull_outstanding = 0;
-        if (outstanding_pulls_ > 0) --outstanding_pulls_;
+        release_pull_slot(state);
         state.pull_wanted = true;
       }
     }
@@ -499,8 +498,7 @@ void ShadowServer::resync_connection(Connection* conn) {
   // client's handlers are idempotent and nack what it cannot apply.
   for (auto& [key, state] : files_) {
     if (state.pull_outstanding != 0) {
-      state.pull_outstanding = 0;
-      if (outstanding_pulls_ > 0) --outstanding_pulls_;
+      release_pull_slot(state);
       state.pull_wanted = true;
     }
   }
@@ -714,10 +712,7 @@ void ShadowServer::handle(Connection* conn, const proto::NotifyNewVersion& m) {
     cache_.erase(state.cache_key);
     persist_eviction(state.cache_key);
     state.latest_known = 0;
-    if (state.pull_outstanding != 0 && outstanding_pulls_ > 0) {
-      --outstanding_pulls_;
-    }
-    state.pull_outstanding = 0;
+    release_pull_slot(state);
   }
   if (m.version > state.latest_known) {
     state.latest_known = m.version;
@@ -777,9 +772,8 @@ void ShadowServer::maybe_pull(FileState& state, bool need_bytes) {
     pull.have_version = entry == nullptr ? 0 : entry->version;
   }
   pull.want_version = state.latest_known;
-  state.pull_outstanding = state.latest_known;
+  take_pull_slot(state, state.latest_known);
   state.pull_wanted = false;
-  ++outstanding_pulls_;
   ++stats_.pulls_sent;
   send_to(state.owner_client, pull);
 }
@@ -791,17 +785,38 @@ void ShadowServer::drain_deferred_pulls() {
   }
 }
 
+void ShadowServer::take_pull_slot(FileState& state, u64 version) {
+  if (state.pull_outstanding == 0) ++outstanding_pulls_;
+  state.pull_outstanding = std::max(state.pull_outstanding, version);
+}
+
+void ShadowServer::release_pull_slot(FileState& state) {
+  if (state.pull_outstanding == 0) return;
+  state.pull_outstanding = 0;
+  --outstanding_pulls_;
+}
+
+void ShadowServer::repull_full(Connection* conn, FileState& state,
+                               const proto::Update& m) {
+  proto::PullRequest pull;
+  pull.file = m.file;
+  pull.have_version = 0;
+  pull.want_version = m.new_version;
+  take_pull_slot(state, m.new_version);
+  ++stats_.pulls_sent;
+  send(conn, pull);
+}
+
 void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   ++stats_.updates_received;
   stats_.update_bytes += m.payload.size();
   FileState& state = file_state(m.file);
   state.owner_client = conn->client_name;
-  if (state.pull_outstanding != 0) {
-    state.pull_outstanding = 0;
-    if (outstanding_pulls_ > 0) --outstanding_pulls_;
-  } else {
+  if (state.pull_outstanding == 0) {
     ++stats_.unsolicited_updates;  // request-driven client pushing
-  }
+  } else if (m.new_version >= state.pull_outstanding) {
+    release_pull_slot(state);
+  }  // else it answers an older pull; the newer one still holds the slot
 
   // Unwrap compression, then the delta.
   auto raw = compress::decompress(m.payload);
@@ -844,32 +859,16 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
     if (!base.ok() || base.value()->version != m.base_version ||
         !base.value()->has_bytes()) {
       // Best-effort cache lost the base (or holds the wrong one, or holds
-      // only its digests — a line delta cannot apply to a signature):
-      // fall back to a full transfer (§5.1). No ack — the re-pull
-      // supersedes.
+      // only its digests — a line delta cannot apply to a signature).
       SHADOW_DEBUG() << config_.name << ": base v" << m.base_version
                      << " unavailable for " << m.file.display()
                      << "; re-pulling full";
-      proto::PullRequest pull;
-      pull.file = m.file;
-      pull.have_version = 0;
-      pull.want_version = m.new_version;
-      state.pull_outstanding = m.new_version;
-      ++outstanding_pulls_;
-      ++stats_.pulls_sent;
-      send(conn, pull);
+      repull_full(conn, state, m);
       return;
     }
     auto applied = delta.value().apply(base.value()->content);
     if (!applied.ok()) {
-      proto::PullRequest pull;
-      pull.file = m.file;
-      pull.have_version = 0;
-      pull.want_version = m.new_version;
-      state.pull_outstanding = m.new_version;
-      ++outstanding_pulls_;
-      ++stats_.pulls_sent;
-      send(conn, pull);
+      repull_full(conn, state, m);
       return;
     }
     content = std::move(applied).take();
@@ -1011,19 +1010,11 @@ void ShadowServer::handle_cdc_update(Connection* conn, const proto::Update& m,
   base_sig.params = d.params;
   if (d.has_copies()) {
     if (entry == nullptr || entry->version != m.base_version) {
-      // Best-effort cache lost the base (or holds the wrong one): fall
-      // back to a full transfer (§5.1). No ack — the re-pull supersedes.
+      // Best-effort cache lost the base (or holds the wrong one).
       SHADOW_DEBUG() << config_.name << ": cdc base v" << m.base_version
                      << " unavailable for " << m.file.display()
                      << "; re-pulling full";
-      proto::PullRequest pull;
-      pull.file = m.file;
-      pull.have_version = 0;
-      pull.want_version = m.new_version;
-      state.pull_outstanding = m.new_version;
-      ++outstanding_pulls_;
-      ++stats_.pulls_sent;
-      send(conn, pull);
+      repull_full(conn, state, m);
       return;
     }
     base_sig = entry->has_bytes()
@@ -1037,14 +1028,7 @@ void ShadowServer::handle_cdc_update(Connection* conn, const proto::Update& m,
   auto advanced = d.signature_after(base_sig);
   if (!advanced.ok()) {
     ++stats_.digest_advance_failures;
-    proto::PullRequest pull;
-    pull.file = m.file;
-    pull.have_version = 0;
-    pull.want_version = m.new_version;
-    state.pull_outstanding = m.new_version;
-    ++outstanding_pulls_;
-    ++stats_.pulls_sent;
-    send(conn, pull);
+    repull_full(conn, state, m);
     return;
   }
   ++stats_.digest_advances;
@@ -1219,10 +1203,7 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
       cache_.erase(state.cache_key);
       persist_eviction(state.cache_key);
       state.latest_known = 0;
-      if (state.pull_outstanding != 0 && outstanding_pulls_ > 0) {
-        --outstanding_pulls_;
-      }
-      state.pull_outstanding = 0;
+      release_pull_slot(state);
     }
     if (ref.version > state.latest_known) {
       state.latest_known = ref.version;

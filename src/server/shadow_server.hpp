@@ -299,7 +299,9 @@ class ShadowServer {
     u64 latest_known = 0;  // newest version any client announced
     u64 latest_size = 0;
     u32 latest_crc = 0;
-    u64 pull_outstanding = 0;  // version requested, 0 = none
+    /// Newest version requested, 0 = none. Non-zero exactly while the
+    /// file holds its one outstanding-pull slot (take/release_pull_slot).
+    u64 pull_outstanding = 0;
     std::string owner_client;  // client that serves pulls for this file
     bool pull_wanted = false;  // deferred by flow control; retry later
   };
@@ -329,6 +331,15 @@ class ShadowServer {
   void maybe_pull(FileState& state, bool need_bytes = false);
   /// Retry pulls deferred by the outstanding-pull cap.
   void drain_deferred_pulls();
+  /// The only writers of outstanding_pulls_: a file holds at most one
+  /// slot however many pulls it has in flight. take records `version` as
+  /// the newest one requested; release is a no-op for a slotless file.
+  void take_pull_slot(FileState& state, u64 version);
+  void release_pull_slot(FileState& state);
+  /// Answer update `m` with a pull for its version in full (§5.1): the
+  /// cached base is missing or unusable. No ack — the re-pull supersedes.
+  void repull_full(Connection* conn, FileState& state,
+                   const proto::Update& m);
 
   /// Move jobs forward: pull missing files, start runnable jobs.
   void schedule_jobs();

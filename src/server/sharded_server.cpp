@@ -1,5 +1,6 @@
 #include "server/sharded_server.hpp"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <variant>
@@ -335,9 +336,25 @@ std::size_t ShardedServer::poll_lobby() {
   return handled;
 }
 
+void ShardedServer::wait_lobby(int listen_fd, int timeout_ms) {
+  std::vector<struct pollfd> fds;
+  fds.reserve(lobby_.size() + 1);
+  if (listen_fd >= 0) fds.push_back({listen_fd, POLLIN, 0});
+  for (const auto& conn : lobby_) {
+    // poll_lobby() takes one buffered frame per connection per call.
+    if (!conn->inbox.empty()) timeout_ms = 0;
+    fds.push_back({conn->transport->fd(), POLLIN, 0});
+  }
+  (void)::poll(fds.data(), fds.size(), timeout_ms);
+}
+
 std::size_t ShardedServer::live_connections() const {
   std::size_t total = lobby_.size();
-  for (const auto& loop : loops_) total += loop->connections();
+  // Counted from adoption, not installation: a socket the lobby just
+  // handed to a loop is live before that loop's next round picks it up.
+  for (const auto& loop : loops_) {
+    total += loop->adopted_total() - loop->closed_total();
+  }
   return total;
 }
 

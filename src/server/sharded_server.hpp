@@ -96,13 +96,19 @@ class ShardedServer {
 
   /// Take ownership of a freshly accepted socket (acceptor thread).
   void adopt_tcp(std::unique_ptr<net::TcpTransport> transport);
+  /// Block in poll() until `listen_fd` (skipped if negative) has a
+  /// connection to accept, a lobby socket is readable, or `timeout_ms`
+  /// passes; returns at once if a lobby connection already holds frames
+  /// to route. A signal cuts the wait short.
+  void wait_lobby(int listen_fd, int timeout_ms);
   /// Drive the lobby (acceptor thread): poll un-routed connections, route
   /// those whose first frame arrived, reap those that closed. Returns the
   /// number of frames handled.
   std::size_t poll_lobby();
 
-  /// Connections alive anywhere (lobby + every shard loop). Approximate
-  /// while loops are running; used for --once drain detection.
+  /// Connections alive anywhere (lobby + every shard loop, including
+  /// sockets handed off but not yet installed). Approximate while loops
+  /// are running; used for --once drain detection.
   std::size_t live_connections() const;
 
   /// Sum of per-shard ServerStats. Inline: reads shards directly.

@@ -160,8 +160,8 @@ TEST_P(CdcChaosConformance, DigestTrackedFileSurvivesFaultySchedules) {
 INSTANTIATE_TEST_SUITE_P(HundredSchedules, CdcChaosConformance,
                          ::testing::Range(1, 101));
 
-// CI's chaos job points SHADOW_CHAOS_EXTRA_SEEDS at schedules beyond the
-// committed fifty (comma-separated); locally this is skipped.
+// CI's sanitizers job points SHADOW_CHAOS_EXTRA_SEEDS at schedules beyond
+// the committed fifty (comma-separated); locally this is skipped.
 TEST(ChaosExtraSeeds, EnvSelectedSchedulesHold) {
   const char* extra = std::getenv("SHADOW_CHAOS_EXTRA_SEEDS");
   if (extra == nullptr || *extra == '\0') {

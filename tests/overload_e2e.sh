@@ -30,6 +30,7 @@ expect_rc2 --drain-deadline ""
 expect_rc2 --commit-window 200    # commit flags require --journal
 expect_rc2 --eviction sideways
 expect_rc2 --bogus-flag
+expect_rc2 --state x              # retired: --journal DIR replaces it
 
 # Bind failure: one-line error, exit 1.
 PORT=$((20000 + RANDOM % 20000))
@@ -44,66 +45,47 @@ grep -q "^shadowd: " "$BINDLOG" || fail "bind failure printed no error"
 rm -f "$BINDLOG"
 kill "$DPID" 2>/dev/null; wait "$DPID" 2>/dev/null
 
-# --- SIGTERM drain, classic daemon --------------------------------------
+# --- SIGTERM drain and journal restart, at 1 and at 2 shards -------------
 # A 60 s commit window guarantees the client's update is still parked in
 # the open batch when the signal lands; the drain must flush it (never
-# silently dropped) and exit well inside the deadline.
-PORT=$((20000 + RANDOM % 20000))
-JOURNAL=$(mktemp -d)
-"$D" --port "$PORT" --journal "$JOURNAL" --commit-window 60000000 \
-     --drain-deadline 8000000 > "$LOG" 2>&1 &
-DPID=$!
-for _ in $(seq 1 50); do grep -q "listening" "$LOG" && break; sleep 0.1; done
-printf 'gen /home/user/d 2000 5\nquit\n' \
-  | "$BUILD_DIR/tools/shadow" --connect "$PORT" > /dev/null 2>&1 \
-  || fail "client session against draining-daemon candidate failed"
+# silently dropped) and exit well inside the deadline. A restart with the
+# same shard count then recovers the record from the journal.
+drain_and_restart() {  # $1 = shard count
+  PORT=$((20000 + RANDOM % 20000))
+  JOURNAL=$(mktemp -d)
+  "$D" --port "$PORT" --threads "$1" --journal "$JOURNAL" \
+       --commit-window 60000000 --drain-deadline 8000000 \
+       --lease-usec 30000000 > "$LOG" 2>&1 &
+  DPID=$!
+  for _ in $(seq 1 50); do grep -q "listening" "$LOG" && break; sleep 0.1; done
+  printf 'gen /home/user/d 2000 %s\nquit\n' "$1" \
+    | "$BUILD_DIR/tools/shadow" --connect "$PORT" > /dev/null 2>&1 \
+    || fail "client session against the $1-shard daemon failed"
 
-kill -TERM "$DPID"
-for _ in $(seq 1 60); do kill -0 "$DPID" 2>/dev/null || break; sleep 0.1; done
-kill -0 "$DPID" 2>/dev/null && fail "classic daemon still alive 6s after SIGTERM"
-wait "$DPID"
-RC=$?
-[ "$RC" -eq 0 ] || fail "classic drain exit code $RC"
-grep -q "draining (deadline" "$LOG" || fail "classic daemon never announced drain"
-grep -q "drained cleanly" "$LOG" || fail "classic drain did not complete"
+  kill -TERM "$DPID"
+  for _ in $(seq 1 60); do kill -0 "$DPID" 2>/dev/null || break; sleep 0.1; done
+  kill -0 "$DPID" 2>/dev/null && fail "$1-shard daemon still alive 6s after SIGTERM"
+  wait "$DPID"
+  RC=$?
+  [ "$RC" -eq 0 ] || fail "$1-shard drain exit code $RC"
+  grep -q "draining (deadline" "$LOG" || fail "$1-shard daemon never announced drain"
+  grep -q "drained cleanly" "$LOG" || fail "$1-shard drain did not complete"
+  # One shard journals in DIR itself (where tools/wal looks), N in DIR/shard<i>.
+  WAL="$JOURNAL/journal.wal"
+  [ "$1" -eq 1 ] || WAL="$JOURNAL/shard0/journal.wal"
+  [ -f "$WAL" ] || fail "$1-shard daemon wrote no $WAL"
 
-# The parked record survived: a restart replays it from the journal.
-"$D" --port "$PORT" --journal "$JOURNAL" --once > "$LOG" 2>&1 &
-DPID=$!
-for _ in $(seq 1 50); do grep -q "listening" "$LOG" && break; sleep 0.1; done
-grep -Eq "recovered from .* [1-9][0-9]* journal records" "$LOG" \
-  || fail "restart recovered no journal records — drain lost the batch"
-printf 'quit\n' | "$BUILD_DIR/tools/shadow" --connect "$PORT" > /dev/null 2>&1
-wait "$DPID" 2>/dev/null
-rm -rf "$JOURNAL"
-
-# --- SIGTERM drain, thread-per-core daemon ------------------------------
-PORT=$((20000 + RANDOM % 20000))
-JOURNAL=$(mktemp -d)
-"$D" --port "$PORT" --threads 2 --journal "$JOURNAL" --commit-window 60000000 \
-     --drain-deadline 8000000 --lease-usec 30000000 > "$LOG" 2>&1 &
-DPID=$!
-for _ in $(seq 1 50); do grep -q "listening" "$LOG" && break; sleep 0.1; done
-printf 'gen /home/user/d 2000 6\nquit\n' \
-  | "$BUILD_DIR/tools/shadow" --connect "$PORT" > /dev/null 2>&1 \
-  || fail "client session against sharded daemon failed"
-
-kill -TERM "$DPID"
-for _ in $(seq 1 60); do kill -0 "$DPID" 2>/dev/null || break; sleep 0.1; done
-kill -0 "$DPID" 2>/dev/null && fail "sharded daemon still alive 6s after SIGTERM"
-wait "$DPID"
-RC=$?
-[ "$RC" -eq 0 ] || fail "sharded drain exit code $RC"
-grep -q "draining (deadline" "$LOG" || fail "sharded daemon never announced drain"
-grep -q "drained cleanly" "$LOG" || fail "sharded drain did not complete"
-
-"$D" --port "$PORT" --threads 2 --journal "$JOURNAL" --once > "$LOG" 2>&1 &
-DPID=$!
-for _ in $(seq 1 50); do grep -q "listening" "$LOG" && break; sleep 0.1; done
-grep -Eq "recovered 2 shards from .*\([1-9][0-9]* journal records" "$LOG" \
-  || fail "sharded restart recovered no journal records"
-printf 'quit\n' | "$BUILD_DIR/tools/shadow" --connect "$PORT" > /dev/null 2>&1
-wait "$DPID" 2>/dev/null
-rm -rf "$JOURNAL" "$LOG"
+  "$D" --port "$PORT" --threads "$1" --journal "$JOURNAL" --once > "$LOG" 2>&1 &
+  DPID=$!
+  for _ in $(seq 1 50); do grep -q "listening" "$LOG" && break; sleep 0.1; done
+  grep -Eq "recovered from .* \($1 shards, [1-9][0-9]* journal records" "$LOG" \
+    || fail "$1-shard restart recovered no journal records — drain lost the batch"
+  printf 'quit\n' | "$BUILD_DIR/tools/shadow" --connect "$PORT" > /dev/null 2>&1
+  wait "$DPID" 2>/dev/null
+  rm -rf "$JOURNAL"
+}
+drain_and_restart 1
+drain_and_restart 2
+rm -f "$LOG"
 
 echo "PASS: overload end-to-end"

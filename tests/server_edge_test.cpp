@@ -2,12 +2,15 @@
 // directly over loopback so individual messages can be forged.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "compress/compress.hpp"
 #include "diff/diff.hpp"
 #include "net/loopback.hpp"
 #include "proto/messages.hpp"
 #include "core/system.hpp"
 #include "server/shadow_server.hpp"
+#include "telemetry/registry.hpp"
 
 namespace shadow::server {
 namespace {
@@ -298,6 +301,47 @@ TEST_F(ServerEdgeTest, PullCapRespectedAcrossManyNotifies) {
   pump();
   EXPECT_LE(server_->stats().pulls_sent, server_->config().max_outstanding_pulls);
   EXPECT_GT(server_->stats().pulls_deferred, 0u);
+}
+
+TEST_F(ServerEdgeTest, ResaveDuringPullKeepsOnePullSlotPerFile) {
+  // Each file is saved again while its first pull is still unanswered, so
+  // the server sends a second pull. The client answers each pull with
+  // the version it asks for, until no pull is left. Every file must give
+  // back exactly the one slot it took, or the leaked slots pile up.
+  std::set<u64> pulled;
+  for (u64 i = 0; i < 5; ++i) {
+    for (u64 v = 1; v <= 2; ++v) {
+      proto::NotifyNewVersion notify;
+      notify.file = file_id(200 + i);
+      notify.version = v;
+      send(notify);
+      pump();
+    }
+    for (bool answered = true; answered;) {
+      std::vector<proto::Message> batch;
+      batch.swap(received_);
+      answered = false;
+      for (const auto& m : batch) {
+        const auto* pull = std::get_if<proto::PullRequest>(&m);
+        if (pull == nullptr) continue;
+        pulled.insert(pull->file.inode);
+        proto::Update update;
+        update.file = pull->file;
+        update.new_version = pull->want_version;
+        update.payload = pack_delta(diff::Delta::make_full(
+            pull->file.path + " v" + std::to_string(pull->want_version) +
+            "\n"));
+        send(update);
+        pump();
+        answered = true;
+      }
+    }
+  }
+  EXPECT_EQ(pulled, (std::set<u64>{200, 201, 202, 203, 204}));
+  server_->sync_telemetry();
+  EXPECT_EQ(
+      telemetry::Registry::global().gauge("server.outstanding_pulls").value(),
+      0.0);
 }
 
 }  // namespace

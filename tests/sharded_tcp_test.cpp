@@ -43,10 +43,11 @@ class Acceptor {
  private:
   void run() {
     while (!stop_.load()) {
+      server_.wait_lobby(listener_.fd(), 10);
       if (auto accepted = listener_.accept(); accepted.ok()) {
         server_.adopt_tcp(std::move(accepted).take());
       }
-      if (server_.poll_lobby() == 0) ::usleep(1000);
+      server_.poll_lobby();
     }
   }
 

@@ -284,10 +284,11 @@ TEST(GroupCommitStress, FourShardThreadsBatchedFsync) {
     std::atomic<bool> stop_accepting{false};
     std::thread acceptor([&] {
       while (!stop_accepting.load()) {
+        sharded.wait_lobby(listener.fd(), 10);
         if (auto accepted = listener.accept(); accepted.ok()) {
           sharded.adopt_tcp(std::move(accepted).take());
         }
-        if (sharded.poll_lobby() == 0) ::usleep(1000);
+        sharded.poll_lobby();
       }
     });
     {
