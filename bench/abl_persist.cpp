@@ -72,10 +72,10 @@ void BM_JournalAppendFs(benchmark::State& state) {
 
 // ---- group commit vs sync-per-record ----
 //
-// Each iteration models one commit window at N concurrent writers: N
+// Each iteration models one shard-loop pass at N concurrent writers: N
 // records arrive, then the server acknowledges all of them. Sync-per-
 // record pays N fsyncs; group commit stages the N records and pays one
-// fsync per sealed batch (the byte cap can seal mid-window at 1024
+// fsync per sealed batch (the byte cap can seal mid-pass at 1024
 // writers — that is the real policy, not a benchmark artifact).
 // items_per_second IS acks/sec.
 
@@ -104,9 +104,6 @@ void BM_GroupCommitAcksFs(benchmark::State& state) {
   std::filesystem::remove_all(root);
   persist::FsDir dir(root.string());
   persist::DurableStore store(&dir, /*compact_every=*/1u << 30);
-  persist::GroupCommitConfig gc;
-  gc.window_us = 1'000'000;  // the loop closes every window explicitly
-  store.set_group_commit(gc);
   const Bytes body = sample_body();
   int64_t acked = 0;
   auto on_durable = [&acked](const Status& st) {
@@ -123,67 +120,9 @@ void BM_GroupCommitAcksFs(benchmark::State& state) {
     benchmark::DoNotOptimize(store.flush().ok());
   }
   state.SetItemsProcessed(acked);
-  state.counters["fsyncs_per_window"] = benchmark::Counter(
+  state.counters["fsyncs_per_pass"] = benchmark::Counter(
       static_cast<double>(store.stats().group_flushes) /
       static_cast<double>(state.iterations()));
-  std::filesystem::remove_all(root);
-}
-
-void BM_GroupCommitPipelinedAcksFs(benchmark::State& state) {
-  // Same window model with the pipeline worker: the batch fsync runs on
-  // a second thread while this one frames + CRCs the next window's
-  // records into the parked buffer.
-  const int writers = static_cast<int>(state.range(0));
-  const auto root =
-      std::filesystem::temp_directory_path() / "shadow_bench_gc_pipe";
-  std::filesystem::remove_all(root);
-  int64_t acked = 0;
-  {
-    persist::FsDir dir(root.string());
-    persist::DurableStore store(&dir, /*compact_every=*/1u << 30);
-    persist::GroupCommitConfig gc;
-    gc.window_us = 1'000'000;
-    gc.pipeline = true;
-    store.set_group_commit(gc);
-    const Bytes body = sample_body();
-    auto on_durable = [&acked](const Status& st) {
-      if (st.ok()) ++acked;
-    };
-    for (auto _ : state) {
-      for (int w = 0; w < writers; ++w) {
-        benchmark::DoNotOptimize(
-            store
-                .append_deferred(persist::RecordType::kShadowCached, body,
-                                 on_durable)
-                .ok());
-      }
-      benchmark::DoNotOptimize(store.flush().ok());
-    }
-    store.wait_idle();
-  }
-  state.SetItemsProcessed(acked);
-  std::filesystem::remove_all(root);
-}
-
-void BM_GroupCommitWindow0Fs(benchmark::State& state) {
-  // The compatibility guarantee, measured: window=0 append_deferred must
-  // cost what classic append costs (same writes, same fsync-per-record).
-  const auto root =
-      std::filesystem::temp_directory_path() / "shadow_bench_gc_w0";
-  std::filesystem::remove_all(root);
-  persist::FsDir dir(root.string());
-  persist::DurableStore store(&dir, /*compact_every=*/1u << 30);
-  persist::GroupCommitConfig gc;  // window_us == 0
-  store.set_group_commit(gc);
-  const Bytes body = sample_body();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store
-            .append_deferred(persist::RecordType::kShadowCached, body,
-                             [](const Status&) {})
-            .ok());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   std::filesystem::remove_all(root);
 }
 
@@ -226,12 +165,17 @@ void populate_disk(persist::MemDir& disk, int edits) {
   client.connect("super", pair.a.get());
   net::pump(pair);
   std::string content = core::make_file(4'000, 17);
+  auto settle = [&] {
+    net::pump(pair);
+    (void)server.pump_persist();  // where the shard loop's pass would end
+    net::pump(pair);
+  };
   (void)editor.create("/home/user/f", content);
-  net::pump(pair);
+  settle();
   for (int i = 0; i < edits; ++i) {
     content = core::modify_percent(content, 5.0, 1000 + i);
     (void)editor.create("/home/user/f", content);
-    net::pump(pair);
+    settle();
   }
 }
 
@@ -269,8 +213,6 @@ BENCHMARK(BM_JournalAppendMem);
 BENCHMARK(BM_JournalAppendFs);
 BENCHMARK(BM_SyncPerRecordAcksFs)->Arg(1)->Arg(32)->Arg(1024);
 BENCHMARK(BM_GroupCommitAcksFs)->Arg(1)->Arg(32)->Arg(1024);
-BENCHMARK(BM_GroupCommitPipelinedAcksFs)->Arg(1)->Arg(32)->Arg(1024);
-BENCHMARK(BM_GroupCommitWindow0Fs);
 BENCHMARK(BM_ReplayScan)->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK(BM_ServerRecovery)->Arg(16)->Arg(128)->Arg(512);
 

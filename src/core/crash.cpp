@@ -39,7 +39,6 @@ struct Writer {
 CrashOutcome run_crash_trial(const CrashOptions& options, u64 crash_at_write) {
   CrashOutcome out;
   const int writer_count = options.writers < 1 ? 1 : options.writers;
-  const bool grouped = options.commit_window_us > 0;
 
   vfs::Cluster cluster;
   std::vector<std::unique_ptr<Writer>> writers;
@@ -63,9 +62,7 @@ CrashOutcome run_crash_trial(const CrashOptions& options, u64 crash_at_write) {
   persist::DurableStore store1(&faults, options.compact_every);
 
   persist::GroupCommitConfig gc;
-  gc.window_us = options.commit_window_us;
   gc.max_batch_records = options.commit_max_batch_records;
-  gc.pipeline = options.pipelined_persist;
   store1.set_group_commit(gc);
 
   server::ServerConfig sc;
@@ -88,17 +85,15 @@ CrashOutcome run_crash_trial(const CrashOptions& options, u64 crash_at_write) {
     net::pump(w->pair);
   }
 
-  // Deliver everything in flight. Under group commit the harness — not a
-  // timer — closes every window, so deferred acks release at explicit,
-  // reproducible points: flush, pump the released acks out, repeat until
-  // the exchange quiesces (job chains append more records from inside
-  // commit callbacks, hence the fixed extra rounds).
+  // Deliver everything in flight. The harness — not an event loop —
+  // ends each pass with the server's flush, so deferred acks release at
+  // explicit, reproducible points: flush, pump the released acks out,
+  // repeat until the exchange quiesces (the clients' answers to released
+  // acks stage more records, hence the fixed extra rounds).
   auto settle = [&](server::ShadowServer& server) {
     for (auto& w : writers) net::pump(w->pair);
-    if (!grouped) return;
     for (int round = 0; round < 5; ++round) {
-      server.flush_persist();
-      server.wait_persist_idle();
+      (void)server.pump_persist();
       for (auto& w : writers) net::pump(w->pair);
     }
   };
@@ -137,12 +132,6 @@ CrashOutcome run_crash_trial(const CrashOptions& options, u64 crash_at_write) {
         return out;
       }
       net::pump(writer.pair);
-      if (w == 0 && grouped && options.pipelined_persist) {
-        // Kick the batch fsync onto the worker NOW, so the remaining
-        // writers' records arrive while it is in flight and exercise the
-        // park-then-promote path.
-        server1->flush_persist();
-      }
     }
     settle(*server1);
     if (options.submit_every > 0 && (i + 1) % options.submit_every == 0) {

@@ -57,17 +57,12 @@ struct CrashOptions {
   /// batch holds records whose acks belong to DIFFERENT connections and a
   /// mid-batch crash strands some of every writer's promises.
   int writers = 1;
-  /// Commit window handed to the server's store (µs). 0 = classic
-  /// sync-per-record. >0 batches; the trial drives every flush point
-  /// explicitly (never the wall clock), so with pipelined_persist false
-  /// the write-point schedule stays deterministic in (options, crash_at).
-  u64 commit_window_us = 0;
+  /// Seal cap handed to the server's store. 1 fsyncs every record inline
+  /// (the sync-per-record reference); larger caps batch whatever one
+  /// settle round stages. The trial drives every flush point explicitly
+  /// (never the wall clock), so the write-point schedule stays
+  /// deterministic in (options, crash_at).
   u64 commit_max_batch_records = 128;
-  /// Overlap the batch fsync with framing of the next records (the store's
-  /// pipeline worker). Thread timing may shuffle which exact operation a
-  /// given write index lands on, so pipelined sweeps assert the durability
-  /// invariants per point rather than exact-op identity.
-  bool pipelined_persist = false;
   /// Count sync() calls as crash points too (FaultFs), so a sweep can kill
   /// the storage BETWEEN a batch's appends and its fsync, or at the fsync
   /// itself — the group-commit crash windows that do not exist per-record.

@@ -38,7 +38,7 @@ class ShadowSystem {
 
   /// Create a supercomputer site running a ShadowServer. `store`
   /// (optional, must outlive the system) makes the server journal-backed —
-  /// the scenario harness uses it to model commit windows at scale.
+  /// the scenario harness uses it to journal populations at scale.
   server::ShadowServer& add_server(const server::ServerConfig& config,
                                    persist::DurableStore* store = nullptr);
 

@@ -131,14 +131,13 @@ std::size_t EventLoop::run_once(int timeout_ms) {
   }
   connections_gauge_.store(owned_.size(), std::memory_order_relaxed);
 
-  poll_timeout_hint_ms_ = kDefaultPollMs;
   if (on_idle_) on_idle_();
   return dispatched;
 }
 
 void EventLoop::run() {
   while (!stop_.load(std::memory_order_acquire)) {
-    run_once(/*timeout_ms=*/poll_timeout_hint_ms_);
+    run_once(kDefaultPollMs);
   }
   // Final round so tasks/adoptions posted just before stop() still run.
   run_once(/*timeout_ms=*/0);

@@ -52,15 +52,6 @@ class EventLoop {
   /// run().
   void set_on_idle(std::function<void()> fn) { on_idle_ = std::move(fn); }
 
-  /// Cap the NEXT round's poll timeout (loop thread only, typically from
-  /// the idle hook). The cap lasts one round — run() resets it to the
-  /// 50 ms default before each idle call — so a hook with a deadline
-  /// (an open commit window waiting to flush) must re-assert it every
-  /// round it still applies. Clamped to [1, 50] ms.
-  void set_poll_timeout_hint(int ms) {
-    poll_timeout_hint_ms_ = ms < 1 ? 1 : (ms > kDefaultPollMs ? kDefaultPollMs : ms);
-  }
-
   /// Process until stop(): poll all connections plus the wake pipe, drain
   /// queues, dispatch frames, reap closed connections.
   void run();
@@ -108,7 +99,6 @@ class EventLoop {
   std::vector<std::unique_ptr<TcpTransport>> owned_;
   DetachFn on_detach_;
   std::function<void()> on_idle_;
-  int poll_timeout_hint_ms_ = kDefaultPollMs;
 
   std::atomic<std::size_t> connections_gauge_{0};
   std::atomic<u64> adopted_total_{0};

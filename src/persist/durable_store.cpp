@@ -33,7 +33,6 @@ struct PersistMetrics {
   telemetry::Counter& group_failed_records;
   telemetry::Counter& group_flushes;
   telemetry::Counter& group_flush_failures;
-  telemetry::Counter& group_parked;
   telemetry::Histogram& record_bytes;
   telemetry::Histogram& group_batch_records;
   telemetry::Histogram& group_batch_bytes;
@@ -55,7 +54,6 @@ struct PersistMetrics {
                             r.counter("persist.group_failed_records"),
                             r.counter("persist.group_flushes"),
                             r.counter("persist.group_flush_failures"),
-                            r.counter("persist.group_parked"),
                             r.histogram("persist.record_bytes"),
                             r.histogram("persist.group_batch_records"),
                             r.histogram("persist.group_batch_bytes"),
@@ -75,24 +73,10 @@ u64 steady_micros() {
 DurableStore::DurableStore(StorageDir* dir, u64 compact_every)
     : dir_(dir), compact_every_(compact_every == 0 ? 1 : compact_every) {}
 
-DurableStore::~DurableStore() {
-  if (worker_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      worker_stop_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-}
-
 void DurableStore::set_group_commit(GroupCommitConfig config) {
   if (config.max_batch_records == 0) config.max_batch_records = 1;
   if (config.max_batch_bytes == 0) config.max_batch_bytes = 1;
   group_ = config;
-  if (group_.enabled() && group_.pipeline && !worker_.joinable()) {
-    worker_ = std::thread([this] { worker_main(); });
-  }
 }
 
 Status DurableStore::write_framed(const Bytes& framed) {
@@ -137,15 +121,7 @@ Status DurableStore::append(RecordType type, const Bytes& body) {
 
 Status DurableStore::append_deferred(RecordType type, const Bytes& body,
                                      CommitFn on_durable) {
-  if (!group_.enabled()) {
-    // window == 0: byte-for-byte the classic path — same write sequence,
-    // same fsync-per-record, callback resolved before we return.
-    Status st = append(type, body);
-    if (on_durable) on_durable(st);
-    return st;
-  }
   PersistMetrics& metrics = PersistMetrics::get();
-  if (group_.pipeline) (void)drain();
   if (!group_error_.ok()) {
     // The storage already lost a batch; fail fast instead of queueing
     // records behind a broken disk.
@@ -154,27 +130,6 @@ Status DurableStore::append_deferred(RecordType type, const Bytes& body,
     if (on_durable) on_durable(st);
     return st;
   }
-  if (group_.pipeline && sync_in_flight()) {
-    // The append pipeline: frame + CRC now, while the previous batch's
-    // fsync runs on the worker; the bytes land in the journal when
-    // drain() collects that sync. The owner never touches the storage
-    // while the worker might be syncing it.
-    Parked p;
-    p.framed = frame_record(type, body);
-    p.ack = std::move(on_durable);
-    parked_bytes_ += p.framed.size();
-    parked_.push_back(std::move(p));
-    ++stats_.group_records;
-    metrics.group_records.add();
-    metrics.group_parked.add();
-    return Status();
-  }
-  return stage_record(type, body, std::move(on_durable));
-}
-
-Status DurableStore::stage_record(RecordType type, const Bytes& body,
-                                  CommitFn ack) {
-  PersistMetrics& metrics = PersistMetrics::get();
   const Bytes framed = frame_record(type, body);
   Status st = write_framed(framed);
   if (!st.ok()) {
@@ -182,14 +137,14 @@ Status DurableStore::stage_record(RecordType type, const Bytes& body,
     // and the batch behind it is now doomed too — fail everything.
     metrics.append_failures.add();
     group_error_ = st;
-    if (ack) ack(st);
+    if (on_durable) on_durable(st);
     fail_all_pending(st);
     return st;
   }
   ++stats_.group_records;
   metrics.group_records.add();
   staged_bytes_ += framed.size();
-  staged_acks_.push_back(std::move(ack));
+  staged_acks_.push_back(std::move(on_durable));
   if (staged_acks_.size() >= group_.max_batch_records ||
       staged_bytes_ >= group_.max_batch_bytes) {
     return flush();
@@ -197,15 +152,30 @@ Status DurableStore::stage_record(RecordType type, const Bytes& body,
   return Status();
 }
 
-void DurableStore::release_batch(std::vector<CommitFn>& acks,
-                                 const Status& st, u64 batch_bytes,
-                                 u64 sync_micros) {
+void DurableStore::fail_all_pending(const Status& st) {
+  auto staged = std::move(staged_acks_);
+  staged_acks_.clear();
+  staged_bytes_ = 0;
+  if (staged.empty()) return;
+  PersistMetrics::get().group_failed_records.add(staged.size());
+  for (auto& ack : staged) {
+    if (ack) ack(st);
+  }
+}
+
+Status DurableStore::flush() {
+  if (staged_acks_.empty()) return Status();
   PersistMetrics& metrics = PersistMetrics::get();
+  const u64 t0 = steady_micros();
+  const Status st = journal_->sync();
+  auto acks = std::move(staged_acks_);
+  staged_acks_.clear();
   ++stats_.group_flushes;
   metrics.group_flushes.add();
   metrics.group_batch_records.observe(acks.size());
-  metrics.group_batch_bytes.observe(batch_bytes);
-  metrics.group_flush_micros.observe(sync_micros);
+  metrics.group_batch_bytes.observe(staged_bytes_);
+  metrics.group_flush_micros.observe(steady_micros() - t0);
+  staged_bytes_ = 0;
   if (st.ok()) {
     metrics.fsyncs.add();
     metrics.group_flushed_records.add(acks.size());
@@ -223,199 +193,12 @@ void DurableStore::release_batch(std::vector<CommitFn>& acks,
   for (auto& ack : acks) {
     if (ack) ack(st);
   }
-  acks.clear();
-}
-
-void DurableStore::fail_all_pending(const Status& st) {
-  auto staged = std::move(staged_acks_);
-  staged_acks_.clear();
-  staged_bytes_ = 0;
-  auto parked = std::move(parked_);
-  parked_.clear();
-  parked_bytes_ = 0;
-  if (staged.empty() && parked.empty()) return;
-  PersistMetrics::get().group_failed_records.add(staged.size() +
-                                                 parked.size());
-  for (auto& ack : staged) {
-    if (ack) ack(st);
-  }
-  for (auto& p : parked) {
-    if (p.ack) p.ack(st);
-  }
-}
-
-Status DurableStore::flush() {
-  if (!group_.enabled()) return Status();
-  if (group_.pipeline) {
-    (void)drain();
-    if (sync_in_flight()) return Status();  // parked records ride the next one
-    promote_parked();
-    if (staged_acks_.empty()) return Status();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inflight_acks_ = std::move(staged_acks_);
-      staged_acks_.clear();
-      inflight_bytes_ = staged_bytes_;
-      staged_bytes_ = 0;
-      inflight_start_us_ = steady_micros();
-      sync_in_flight_ = true;
-      sync_requested_ = true;
-    }
-    cv_.notify_all();
-    return Status();
-  }
-  if (staged_acks_.empty()) return Status();
-  const u64 t0 = steady_micros();
-  Status st = journal_->sync();
-  auto acks = std::move(staged_acks_);
-  staged_acks_.clear();
-  const u64 bytes = staged_bytes_;
-  staged_bytes_ = 0;
-  release_batch(acks, st, bytes, steady_micros() - t0);
   return st;
 }
 
-std::size_t DurableStore::drain() {
-  if (!group_.pipeline) return 0;
-  std::vector<CommitFn> acks;
-  Status st;
-  u64 bytes = 0;
-  u64 micros = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!completion_ready_) return 0;
-    completion_ready_ = false;
-    sync_in_flight_ = false;
-    st = completed_status_;
-    acks = std::move(inflight_acks_);
-    inflight_acks_.clear();
-    bytes = inflight_bytes_;
-    inflight_bytes_ = 0;
-    micros = steady_micros() - inflight_start_us_;
-  }
-  const std::size_t released = acks.size();
-  release_batch(acks, st, bytes, micros);
-  if (!st.ok()) {
-    fail_all_pending(st);
-    return released;
-  }
-  promote_parked();
-  return released;
-}
-
-void DurableStore::promote_parked() {
-  if (parked_.empty()) return;
-  auto parked = std::move(parked_);
-  parked_.clear();
-  parked_bytes_ = 0;
-  PersistMetrics& metrics = PersistMetrics::get();
-  for (std::size_t i = 0; i < parked.size(); ++i) {
-    if (!group_error_.ok()) {
-      // A promote already failed: the rest of the parked run fails too.
-      metrics.group_failed_records.add(1);
-      if (parked[i].ack) parked[i].ack(group_error_);
-      continue;
-    }
-    Status st = write_framed(parked[i].framed);
-    if (!st.ok()) {
-      metrics.append_failures.add();
-      group_error_ = st;
-      metrics.group_failed_records.add(1);
-      if (parked[i].ack) parked[i].ack(st);
-      fail_all_pending(st);
-      continue;
-    }
-    staged_bytes_ += parked[i].framed.size();
-    staged_acks_.push_back(std::move(parked[i].ack));
-  }
-  if (group_error_.ok() &&
-      (staged_acks_.size() >= group_.max_batch_records ||
-       staged_bytes_ >= group_.max_batch_bytes)) {
-    (void)flush();
-  }
-}
-
-void DurableStore::wait_idle() {
-  if (!group_.enabled()) return;
-  if (!group_.pipeline) {
-    (void)flush();
-    return;
-  }
-  for (;;) {
-    (void)drain();
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (sync_in_flight_ && !completion_ready_) {
-        cv_.wait(lk, [&] { return completion_ready_ || !sync_in_flight_; });
-        continue;  // drain the completion on the next pass
-      }
-      if (sync_in_flight_) continue;  // completion ready: drain it
-    }
-    if (!staged_acks_.empty() || !parked_.empty()) {
-      (void)flush();
-      if (!group_error_.ok()) return;  // fail_all_pending emptied the queues
-      continue;
-    }
-    return;
-  }
-}
-
 void DurableStore::drop_pending() {
-  if (!group_.enabled()) return;
-  if (group_.pipeline) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return !sync_in_flight_ || completion_ready_; });
-    sync_in_flight_ = false;
-    completion_ready_ = false;
-    inflight_acks_.clear();
-    inflight_bytes_ = 0;
-  }
   staged_acks_.clear();
   staged_bytes_ = 0;
-  parked_.clear();
-  parked_bytes_ = 0;
-}
-
-u64 DurableStore::pending_records() const {
-  u64 n = staged_acks_.size() + parked_.size();
-  if (group_.pipeline) {
-    std::lock_guard<std::mutex> lk(mu_);
-    n += inflight_acks_.size();
-  }
-  return n;
-}
-
-u64 DurableStore::pending_bytes() const {
-  u64 n = staged_bytes_ + parked_bytes_;
-  if (group_.pipeline) {
-    std::lock_guard<std::mutex> lk(mu_);
-    n += inflight_bytes_;
-  }
-  return n;
-}
-
-bool DurableStore::sync_in_flight() const {
-  if (!group_.pipeline) return false;
-  std::lock_guard<std::mutex> lk(mu_);
-  return sync_in_flight_;
-}
-
-void DurableStore::worker_main() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    cv_.wait(lk, [&] { return worker_stop_ || sync_requested_; });
-    if (worker_stop_) return;
-    sync_requested_ = false;
-    StorageFile* journal = journal_.get();  // stable while a sync is in flight
-    lk.unlock();
-    Status st = journal != nullptr
-                    ? journal->sync()
-                    : Status(Error{ErrorCode::kIoError, "journal closed"});
-    lk.lock();
-    completed_status_ = st;
-    completion_ready_ = true;
-    cv_.notify_all();
-  }
 }
 
 Result<RecoveredState> DurableStore::recover() {
@@ -461,14 +244,9 @@ Result<RecoveredState> DurableStore::recover() {
 }
 
 Status DurableStore::compact(const Bytes& state) {
-  if (group_.enabled()) {
-    // No callback may straddle the truncation, and the worker must not
-    // be syncing a handle we are about to replace.
-    Status st = flush();
-    if (!st.ok()) return st;
-    wait_idle();
-    if (!group_error_.ok()) return group_error_;
-  }
+  // No callback may straddle the truncation.
+  SHADOW_TRY(flush());
+  if (!group_error_.ok()) return group_error_;
   // Order is the whole game: make the snapshot durable FIRST. A crash
   // after the snapshot but before the truncate leaves old journal records
   // alongside the new snapshot; replaying them is idempotent. The reverse

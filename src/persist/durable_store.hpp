@@ -17,31 +17,20 @@
 //     tail is truncated, never trusted — damage is recovered from, not
 //     reported as an error.
 //
-// Group commit (docs/DURABILITY.md): set_group_commit() with window_us > 0
-// switches the deferred path into batching mode — records from many
-// connections accumulate in one open batch, one fsync covers all of them,
-// and their callbacks release together in append order. window_us == 0
-// keeps append_deferred() byte-for-byte identical to append(): same write
-// sequence, same fsync-per-record, callback invoked before it returns.
-// With pipeline == true a worker thread runs the fsync while the owner
-// keeps framing and CRC-ing new records into a parked buffer (promoted
-// into the journal when the in-flight sync lands), so append CPU work
-// overlaps the previous batch's disk wait.
+// Group commit (docs/DURABILITY.md): append_deferred() is the one path
+// the server journals through. Records from many connections accumulate
+// in one open batch; flush() fsyncs it once and releases its callbacks
+// together in append order. The owner flushes once per event-loop pass;
+// the batch also seals itself at either cap, so max_batch_records == 1
+// is the sync-per-record reference — same write sequence as append(),
+// callback resolved before append_deferred() returns.
 //
-// Threading: every public method is owner-thread-only. The pipeline
-// worker touches ONLY the journal handle's sync() — never the StorageDir —
-// and only between flush() sealing a batch and drain() collecting it, a
-// window in which the owner parks instead of writing. Completion hand-off
-// goes through a mutex+condvar, so no additional locking is required of
-// the storage backend beyond surviving one concurrent sync().
+// Threading: owner-thread-only; the store has no thread of its own.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "persist/storage.hpp"
@@ -71,21 +60,14 @@ struct DurableStoreStats {
   u64 group_flush_failures = 0;  // batches whose fsync failed (all acks fail)
 };
 
-/// How the deferred-append path batches. window_us is the commit window
-/// the SERVER enforces (the store itself never sleeps — it flushes when
-/// told to, or when a batch hits one of the two seal caps below).
+/// When the deferred-append path seals a batch on its own (the store never
+/// sleeps: otherwise it flushes when its owner says so).
 struct GroupCommitConfig {
-  /// 0 = classic sync-per-record (append_deferred == append + callback).
-  u64 window_us = 0;
-  /// Seal the open batch once it holds this many records...
+  /// Seal the open batch once it holds this many records (1 = fsync per
+  /// record)...
   u64 max_batch_records = 128;
   /// ...or this many framed bytes, whichever comes first.
   u64 max_batch_bytes = 1u << 20;
-  /// Run the batch fsync on a worker thread; appends arriving while it
-  /// runs are framed into a parked buffer instead of blocking.
-  bool pipeline = false;
-
-  bool enabled() const { return window_us > 0; }
 };
 
 class DurableStore {
@@ -97,7 +79,6 @@ class DurableStore {
   /// `dir` must outlive the store. `compact_every` is the number of
   /// journal appends after which compaction_due() turns true.
   explicit DurableStore(StorageDir* dir, u64 compact_every = 64);
-  ~DurableStore();
 
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
@@ -106,47 +87,31 @@ class DurableStore {
   /// be considered NOT durable (do not acknowledge).
   Status append(RecordType type, const Bytes& body);
 
-  /// Configure group commit. Call before the first append_deferred();
-  /// window_us == 0 (the default) keeps the classic path.
+  /// Set the seal caps. Call before the first append_deferred().
   void set_group_commit(GroupCommitConfig config);
-  const GroupCommitConfig& group_commit() const { return group_; }
 
   /// Group-commit append: frame + CRC + write the record now, fsync
-  /// later. `on_durable` fires exactly once — from a later flush()/
-  /// drain() (or inline when window_us == 0, or inline with the error
-  /// when the store has already failed). The returned Status reports
+  /// later. `on_durable` fires exactly once — from the flush() that
+  /// covers it (inline when the record fills a cap), or inline with the
+  /// error when the store has already failed. The returned Status reports
   /// only the WRITE; durability itself is the callback's verdict.
   Status append_deferred(RecordType type, const Bytes& body,
                          CommitFn on_durable);
 
   /// Seal and sync the open batch, releasing every callback in append
-  /// order with the fsync's status. Pipelined mode hands the sealed
-  /// batch to the worker and returns immediately (callbacks fire from a
-  /// later drain()/wait_idle()). No-op when nothing is staged.
+  /// order with the fsync's status. No-op when nothing is staged.
   Status flush();
 
-  /// Pipelined mode: collect a completed batch (run its callbacks on the
-  /// caller's thread) and promote parked records into the journal.
-  /// Returns the number of callbacks released. No-op otherwise.
-  std::size_t drain();
-
-  /// Block until no batch is staged, parked or in flight, releasing
-  /// every callback on the way (owner thread only).
-  void wait_idle();
-
-  /// Discard pending callbacks WITHOUT invoking them, after waiting out
-  /// any in-flight sync. For owner teardown when the callback targets
-  /// (connections, the server) are already gone; the records themselves
-  /// stay written and replay on recovery if their fsync happened.
+  /// Discard pending callbacks WITHOUT invoking them. For owner teardown
+  /// when the callback targets (connections, the server) are already
+  /// gone; the records themselves stay written and replay on recovery if
+  /// their fsync happened.
   void drop_pending();
 
-  /// Records written but not yet resolved (staged + parked + in flight).
-  u64 pending_records() const;
-  u64 pending_bytes() const;
-  /// True while a pipelined fsync is running on the worker.
-  bool sync_in_flight() const;
-  /// First flush/append failure in group mode; every later deferred
-  /// append fails fast with it. OK while healthy.
+  /// Records written but not yet resolved.
+  u64 pending_records() const { return staged_acks_.size(); }
+  /// First flush/append failure on the deferred path; every later
+  /// deferred append fails fast with it. OK while healthy.
   Status group_error() const { return group_error_; }
 
   /// Read snapshot + journal as left by the last run (or crash). Errors
@@ -155,8 +120,8 @@ class DurableStore {
   Result<RecoveredState> recover();
 
   /// Snapshot-then-truncate. `state` is the application snapshot blob.
-  /// In group mode this first flushes and waits out the open batch, so
-  /// no callback can straddle the journal truncation.
+  /// This first flushes the open batch, so no callback can straddle the
+  /// journal truncation.
   Status compact(const Bytes& state);
 
   bool compaction_due() const {
@@ -169,28 +134,13 @@ class DurableStore {
   static constexpr const char* kSnapshotName = "snapshot.bin";
 
  private:
-  /// A framed record waiting out an in-flight sync (pipelined mode).
-  struct Parked {
-    Bytes framed;
-    CommitFn ack;
-  };
-
   /// Open/extend the journal with one already-framed record (writing the
   /// header first when the file is empty) and do the per-append
   /// bookkeeping. Does NOT sync.
   Status write_framed(const Bytes& framed);
-  /// write_framed + stage the callback; seals the batch at the caps.
-  Status stage_record(RecordType type, const Bytes& body, CommitFn ack);
-  /// Run one batch's callbacks with the sync status + batch metrics.
-  void release_batch(std::vector<CommitFn>& acks, const Status& st,
-                     u64 batch_bytes, u64 sync_micros);
-  /// Storage failed: release every staged AND parked callback with `st`
-  /// (the no-partial-release rule extends to records behind the batch).
+  /// Storage failed: release every staged callback with `st` (the
+  /// no-partial-release rule extends to records behind the batch).
   void fail_all_pending(const Status& st);
-  /// Append parked records into the journal (owner thread, no sync in
-  /// flight) and stage their callbacks.
-  void promote_parked();
-  void worker_main();
 
   StorageDir* dir_;
   u64 compact_every_;
@@ -203,21 +153,6 @@ class DurableStore {
   Status group_error_;
   std::vector<CommitFn> staged_acks_;  // open batch, append order
   u64 staged_bytes_ = 0;
-  std::vector<Parked> parked_;  // framed while a sync is in flight
-  u64 parked_bytes_ = 0;
-
-  // ---- pipelined sync worker (all guarded by mu_ unless noted) ----
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread worker_;
-  bool worker_stop_ = false;
-  bool sync_requested_ = false;
-  bool sync_in_flight_ = false;   // sealed batch not yet drained
-  bool completion_ready_ = false; // worker finished; drain() pending
-  Status completed_status_;
-  std::vector<CommitFn> inflight_acks_;
-  u64 inflight_bytes_ = 0;
-  u64 inflight_start_us_ = 0;  // steady-clock stamp at seal
 };
 
 }  // namespace shadow::persist

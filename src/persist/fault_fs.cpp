@@ -49,9 +49,8 @@ Result<std::unique_ptr<StorageFile>> FaultFs::open_append(
 }
 
 Status FaultFs::guarded_append(StorageFile* file, const Bytes& data) {
-  // mu_ is held across the inner call too: a pipelined store's owner
-  // append and worker sync serialize here, so write-point numbering stays
-  // a total order even with two threads in flight.
+  // mu_ is held across the inner call too, so write-point numbering
+  // stays a total order whichever thread appends or syncs.
   std::lock_guard<std::mutex> lk(mu_);
   if (dead_) {
     ++stats_.refused_ops;

@@ -16,9 +16,9 @@
 // appended-but-unsynced byte in the page cache for MemDir::crash() to
 // adjudicate.
 //
-// Thread safety: all state is guarded by one mutex, so a pipelined
-// DurableStore (owner appending, worker syncing) can share a FaultFs; the
-// crash-trial determinism argument lives in core/crash.cpp.
+// Thread safety: all state is guarded by one mutex, so a FaultFs may be
+// shared between threads; the crash-trial determinism argument lives in
+// core/crash.cpp.
 #pragma once
 
 #include <memory>

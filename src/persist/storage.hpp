@@ -56,9 +56,9 @@ class StorageDir {
 /// synced bytes always survive, and the caller chooses how kindly the
 /// page cache treated the unsynced tail.
 ///
-/// Every operation takes an internal mutex, so a pipelined DurableStore
-/// (owner thread appending, worker thread syncing) can run over a MemDir
-/// in tests the same way it runs over a real disk.
+/// Every operation takes an internal mutex, so a MemDir may be shared
+/// between threads (a test inspecting it while a shard loop writes) the
+/// way a real disk is.
 class MemDir final : public StorageDir {
  public:
   MemDir() = default;

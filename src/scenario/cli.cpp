@@ -39,7 +39,7 @@ constexpr char kSelftestSpec[] =
     "  seed: 7\n"
     "server:\n"
     "  shards: 2\n"
-    "  commit_window: 2ms\n"
+    "  journal: on\n"
     "  max_active_jobs: 16\n"
     "links:\n"
     "  flaky:\n"

@@ -137,14 +137,10 @@ Result<ScenarioReport> ScenarioRunner::run() {
     }
 
     persist::DurableStore* store = nullptr;
-    if (shape.commit_window > 0) {
+    if (shape.journal) {
       shard_dirs.push_back(std::make_unique<persist::MemDir>());
       shard_stores.push_back(std::make_unique<persist::DurableStore>(
           shard_dirs.back().get(), /*compact_every=*/4096));
-      persist::GroupCommitConfig gc;
-      gc.window_us = shape.commit_window;
-      // pipeline stays OFF: its worker thread would break determinism.
-      shard_stores.back()->set_group_commit(gc);
       store = shard_stores.back().get();
     }
     shard_servers.push_back(&system.add_server(config, store));

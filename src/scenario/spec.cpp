@@ -233,9 +233,9 @@ Status apply_server(Scenario* s, const SpecLine& l) {
       return at(l.number, "shards must be 1..64, got '" + l.value + "'");
     }
     sv.shards = static_cast<std::size_t>(n);
-  } else if (l.key == "commit_window") {
-    if (!parse_duration(l.value, &sv.commit_window)) {
-      return at(l.number, "bad commit_window '" + l.value + "'");
+  } else if (l.key == "journal") {
+    if (!parse_bool(l.value, &sv.journal)) {
+      return at(l.number, "bad journal '" + l.value + "' (on|off)");
     }
   } else if (l.key == "cache_budget") {
     if (!parse_size(l.value, &sv.cache_budget)) {
@@ -567,7 +567,7 @@ std::string to_text(const Scenario& s) {
   const ServerShape& sv = s.server;
   append_kv(&out, 2, "name", sv.name);
   append_kv(&out, 2, "shards", fmt_u64(sv.shards));
-  append_kv(&out, 2, "commit_window", fmt_duration(sv.commit_window));
+  append_kv(&out, 2, "journal", sv.journal ? "on" : "off");
   append_kv(&out, 2, "cache_budget", fmt_u64(sv.cache_budget));
   append_kv(&out, 2, "eviction",
             sv.eviction == cache::EvictionPolicy::kLru     ? "lru"

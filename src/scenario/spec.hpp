@@ -11,7 +11,7 @@
 //     seed: 42
 //   server:
 //     shards: 4
-//     commit_window: 2ms
+//     journal: on
 //     max_active_jobs: 256
 //   links:
 //     flaky-wan:
@@ -90,12 +90,12 @@ struct HostClass {
   bool background_updates = true;  // notify at edit end vs at submit
 };
 
-/// Server shape: shards, commit window, overload budget — the knobs the
+/// Server shape: shards, journal, overload budget — the knobs the
 /// scaling PRs added, exposed to the spec.
 struct ServerShape {
   std::string name = "super";
   std::size_t shards = 1;
-  u64 commit_window = 0;       // usec; > 0 enables group commit (MemDir WAL)
+  bool journal = false;        // journal each shard to a MemDir WAL
   u64 cache_budget = 0;        // bytes; 0 = unlimited
   cache::EvictionPolicy eviction = cache::EvictionPolicy::kLru;
   server::PullPolicy pull = server::PullPolicy::kEager;

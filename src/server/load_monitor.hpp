@@ -42,9 +42,6 @@ struct OverloadConfig {
   /// Cap on the SUM of all connections' queued output bytes; submits
   /// beyond it are shed (results would only deepen the backlog).
   std::size_t max_total_queued_bytes = 0;
-  /// Cap on journal records staged behind the open group-commit window
-  /// (each may park a deferred ack); submits beyond it are shed.
-  std::size_t max_parked_acks = 0;
   /// Cap on active (queued+waiting+running) jobs; submits beyond it are
   /// SHED with ServerBusy + retry-after — unlike max_queued_jobs, whose
   /// queue-full SubmitReply rejection is final. The client re-submits

@@ -43,37 +43,11 @@ ShadowServer::ShadowServer(ServerConfig config, sim::Simulator* simulator,
       cache_(config_.cache_budget, config_.eviction) {}
 
 ShadowServer::~ShadowServer() {
-  // Deferred commit callbacks capture `this`; a batch still in flight at
+  // Deferred commit callbacks capture `this`; a batch still staged at
   // teardown is dropped, not invoked — its records stay in the journal
   // and replay on recovery, its acks were simply never sent (the client
   // re-offers, exactly as after a crash).
   if (store_ != nullptr) store_->drop_pending();
-}
-
-bool ShadowServer::persist_append(persist::RecordType type, Bytes body) {
-  if (store_ == nullptr) return true;
-  if (persist_dead_) return false;
-  Status st = store_->append(type, body);
-  if (!st.ok()) {
-    mark_persist_dead(type, st);
-    return false;
-  }
-  ++stats_.journal_appends;
-  if (store_->compaction_due()) {
-    Status cs = store_->compact(save_state());
-    if (!cs.ok()) {
-      // The record itself is already durable (the append fsynced), so the
-      // caller may still acknowledge — but no further promises.
-      persist_dead_ = true;
-      ++stats_.journal_failures;
-      SHADOW_WARN() << config_.name
-                    << ": compaction failed: " << cs.to_string();
-    } else {
-      ++stats_.compactions;
-      record_event(telemetry::EventKind::kJournal, "journal compacted");
-    }
-  }
-  return true;
 }
 
 void ShadowServer::mark_persist_dead(persist::RecordType type,
@@ -95,13 +69,6 @@ void ShadowServer::persist_append_then(persist::RecordType type, Bytes body,
     return;
   }
   if (persist_dead_) return;
-  if (!store_->group_commit().enabled()) {
-    // Classic sync-per-record: durable (or dead) before we return, the
-    // continuation runs inline — ordering identical to the pre-group-
-    // commit server.
-    if (persist_append(type, std::move(body)) && on_durable) on_durable();
-    return;
-  }
   if (on_durable) ++stats_.acks_deferred;
   (void)store_->append_deferred(
       type, body, [this, type, cb = std::move(on_durable)](const Status& st) {
@@ -112,85 +79,54 @@ void ShadowServer::persist_append_then(persist::RecordType type, Bytes body,
         }
         mark_persist_dead(type, st);
       });
-  schedule_window_flush();
-}
-
-void ShadowServer::schedule_window_flush() {
-  const auto& gc = store_->group_commit();
-  if (store_->pending_records() == 0) return;  // sealed at a cap already
-  if (sim_ != nullptr) {
-    // Simulated time: one flush per window, armed by the record that
-    // opens it (the same self-scheduling shape as the load monitor).
-    if (persist_flush_scheduled_) return;
+  // Simulated time has no loop pass to end in a flush: the first staged
+  // record schedules one for the current instant instead.
+  if (sim_ != nullptr && !persist_flush_scheduled_ &&
+      store_->pending_records() > 0) {
     persist_flush_scheduled_ = true;
-    sim_->schedule(gc.window_us, [this] {
+    sim_->schedule(0, [this] {
       persist_flush_scheduled_ = false;
-      flush_persist();
+      (void)pump_persist();
     });
-  } else if (!persist_window_open_) {
-    persist_window_open_ = true;
-    persist_window_start_us_ = steady_micros();
   }
-}
-
-void ShadowServer::flush_persist() {
-  if (store_ == nullptr || !store_->group_commit().enabled()) return;
-  persist_window_open_ = false;
-  if (store_->pending_records() > 0) ++stats_.persist_flushes;
-  (void)store_->flush();  // failures surface through per-record callbacks
-  (void)store_->drain();
-  maybe_compact_persist();
-}
-
-void ShadowServer::wait_persist_idle() {
-  if (store_ == nullptr || !store_->group_commit().enabled()) return;
-  persist_window_open_ = false;
-  store_->wait_idle();
-  maybe_compact_persist();
 }
 
 std::size_t ShadowServer::pump_persist() {
-  if (store_ == nullptr || !store_->group_commit().enabled()) return 0;
-  std::size_t work = store_->drain();
-  if (persist_window_open_ && sim_ == nullptr &&
-      steady_micros() - persist_window_start_us_ >=
-          store_->group_commit().window_us) {
-    flush_persist();
-    ++work;
-  } else {
-    maybe_compact_persist();
+  if (store_ == nullptr) return 0;
+  std::size_t released = 0;
+  // Commit callbacks append more records (a job chain runs from started
+  // through delivered in one pump), so flush until nothing is staged.
+  while (store_->pending_records() > 0) {
+    released += store_->pending_records();
+    ++stats_.persist_flushes;
+    (void)store_->flush();  // failures surface through per-record callbacks
   }
-  return work;
-}
-
-int ShadowServer::persist_poll_hint_ms() const {
-  if (store_ == nullptr || !store_->group_commit().enabled() ||
-      sim_ != nullptr) {
-    return -1;
-  }
-  if (store_->sync_in_flight()) return 1;
-  if (!persist_window_open_) return -1;
-  const u64 elapsed = steady_micros() - persist_window_start_us_;
-  const u64 window = store_->group_commit().window_us;
-  if (elapsed >= window) return 1;
-  return static_cast<int>((window - elapsed) / 1000) + 1;
+  maybe_compact_persist();
+  return released;
 }
 
 void ShadowServer::maybe_compact_persist() {
   if (store_ == nullptr || persist_dead_) return;
   if (!store_->compaction_due()) return;
   // Only between batches: compaction must never sit between a client's
-  // update and its ack. pump_persist() retries at the next idle round.
-  if (store_->pending_records() > 0 || store_->sync_in_flight()) return;
+  // update and its ack. The next pump_persist() retries.
+  if (store_->pending_records() > 0) return;
+  compact_persist();
+}
+
+void ShadowServer::compact_persist() {
   Status cs = store_->compact(save_state());
-  if (!cs.ok()) {
-    persist_dead_ = true;
-    ++stats_.journal_failures;
-    SHADOW_WARN() << config_.name << ": compaction failed: " << cs.to_string();
-  } else {
+  if (cs.ok()) {
     ++stats_.compactions;
     record_event(telemetry::EventKind::kJournal, "journal compacted");
+    return;
   }
+  // Records already acked stay durable, but no further promises.
+  ++stats_.journal_failures;
+  persist_dead_ = true;
+  record_event(telemetry::EventKind::kJournal,
+               "compaction failed; persistence dead");
+  SHADOW_WARN() << config_.name << ": compaction failed: " << cs.to_string();
 }
 
 void ShadowServer::send_if_attached(Connection* conn,
@@ -402,10 +338,6 @@ std::size_t ShadowServer::total_queued_bytes() const {
 
 const char* ShadowServer::admission_refusal() const {
   if (draining_) return "server draining";
-  if (config_.overload.max_parked_acks != 0 && store_ != nullptr &&
-      store_->pending_records() >= config_.overload.max_parked_acks) {
-    return "persist backlog (parked acks over budget)";
-  }
   if (config_.overload.max_total_queued_bytes != 0 &&
       total_queued_bytes() >= config_.overload.max_total_queued_bytes) {
     return "output backlog (queued bytes over budget)";
@@ -442,15 +374,14 @@ void ShadowServer::begin_drain() {
     ++stats_.drain_notices;
     send_busy(conn.get(), 0, "server draining");
   }
-  // Seal the open group-commit window now: every record a client was
-  // promised durability for must fsync — and release its parked ack —
-  // before drain_complete() reports true.
-  flush_persist();
+  // Flush the open batch now: every record a client was promised
+  // durability for must fsync — and release its deferred ack — before
+  // drain_complete() reports true.
+  (void)pump_persist();
 }
 
 bool ShadowServer::drain_complete() const {
-  if (store_ == nullptr || !store_->group_commit().enabled()) return true;
-  return store_->pending_records() == 0 && !store_->sync_in_flight();
+  return store_ == nullptr || store_->pending_records() == 0;
 }
 
 void ShadowServer::handle(Connection* conn, const proto::Heartbeat& m) {
@@ -977,9 +908,8 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   // The write-ahead rule: the ack below is a durability promise, so the
   // record must hit the journal (and survive its fsync) first. A refused
   // append means no ack — the client keeps the version and re-offers it
-  // after reconnecting. Under group commit the record is written now and
-  // the continuation waits for the batch fsync; classic mode runs it
-  // inline.
+  // after reconnecting. The record is written now; the continuation waits
+  // for the fsync that ends this loop pass.
   persist_append_then(
       persist::RecordType::kShadowCached,
       cached_record_body(state, m.new_version, content_crc, content),
@@ -1143,9 +1073,9 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
   }
   ++stats_.jobs_submitted;
   // Unified overload budget: shed the submit with a retry hint while the
-  // server is past any hard budget (drain, parked persist acks, queued
-  // output bytes). Unlike the queue-full rejection below — which is
-  // final — ServerBusy means "try the same job again in a moment".
+  // server is past any hard budget (drain, queued output bytes, active
+  // jobs). Unlike the queue-full rejection below — which is final —
+  // ServerBusy means "try the same job again in a moment".
   if (const char* refusal = admission_refusal(); refusal != nullptr) {
     ++stats_.busy_rejects;
     record_event(telemetry::EventKind::kJob,
@@ -1925,19 +1855,9 @@ Status ShadowServer::recover_from_storage() {
                    std::to_string(stats_.recovered_records) +
                    " journal records replayed");
 
-  if (dirty) {
-    // Fold the replay into a fresh snapshot and truncate — this is also
-    // what durably discards a torn tail instead of re-reading it forever.
-    Status cs = store_->compact(save_state());
-    if (!cs.ok()) {
-      persist_dead_ = true;
-      ++stats_.journal_failures;
-      SHADOW_WARN() << config_.name << ": post-recovery compaction failed: "
-                    << cs.to_string();
-    } else {
-      ++stats_.compactions;
-    }
-  }
+  // Fold the replay into a fresh snapshot and truncate — this is also
+  // what durably discards a torn tail instead of re-reading it forever.
+  if (dirty) compact_persist();
 
   schedule_jobs();
   return Status();

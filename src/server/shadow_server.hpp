@@ -123,8 +123,8 @@ struct ServerStats {
   u64 session_resyncs = 0;    // desyncs detected by the reliable session
   u64 journal_appends = 0;    // durable mutation records written
   u64 journal_failures = 0;   // appends/compactions the storage refused
-  u64 acks_deferred = 0;      // gating acks parked behind a commit batch
-  u64 persist_flushes = 0;    // group-commit flushes this server forced
+  u64 acks_deferred = 0;      // gating acks held until their batch fsyncs
+  u64 persist_flushes = 0;    // commit-batch flushes this server ran
   u64 compactions = 0;        // snapshot + journal-truncate cycles
   u64 recovered_records = 0;  // journal records replayed at startup
   u64 requeued_jobs = 0;      // orphaned kRunning jobs put back in queue
@@ -143,8 +143,8 @@ class ShadowServer {
   /// acknowledges anything to a client. Must outlive the server.
   explicit ShadowServer(ServerConfig config, sim::Simulator* simulator = nullptr,
                         persist::DurableStore* store = nullptr);
-  /// Waits out any in-flight batch fsync and DROPS unresolved commit
-  /// callbacks (they capture this server); never sends from a destructor.
+  /// DROPS unresolved commit callbacks (they capture this server); never
+  /// sends from a destructor.
   ~ShadowServer();
 
   /// Attach a client connection. The server installs itself as the
@@ -193,8 +193,8 @@ class ShadowServer {
   void evict_file(const naming::GlobalFileId& id);
 
   /// One retransmit round on every reliable session (no-op without
-  /// config.reliable_session). Returns the number of frames resent.
-  /// Also reaps doomed connections and expires stale leases.
+  /// config.reliable_session), then pump_persist(), lease expiry and the
+  /// doomed-connection reap. Returns frames resent plus records released.
   std::size_t tick();
 
   // ---- overload control & graceful drain -----------------------------
@@ -212,7 +212,7 @@ class ShadowServer {
 
   /// Enter drain: refuse new Hellos and submits (ServerBusy with
   /// draining=true), notify connected v1 clients once, and flush the open
-  /// group-commit window so parked acks resolve. Idempotent.
+  /// commit batch so deferred acks resolve. Idempotent.
   void begin_drain();
   bool draining() const { return draining_; }
   /// True once every journaled record has been fsynced and its deferred
@@ -251,27 +251,15 @@ class ShadowServer {
   /// stop flowing because durability can no longer be promised.
   bool persist_alive() const { return store_ == nullptr || !persist_dead_; }
 
-  // ---- group commit (no-ops unless the store has window_us > 0) ------
+  // ---- group commit --------------------------------------------------
 
-  /// Seal + fsync the open commit batch now, releasing every deferred
-  /// ack (UpdateAck / SubmitReply / output delivery) it gates, then
-  /// compact if due. The commit-window expiry path and tests/shutdown
-  /// call this; under a simulator the window schedules it automatically.
-  void flush_persist();
-  /// Block until no batch is staged, parked or syncing (pipelined mode);
-  /// all pending acks resolve on the way.
-  void wait_persist_idle();
-  /// Periodic persist housekeeping for event-loop idle time: collect
-  /// completed pipelined batches (releasing their acks), flush when the
-  /// real-time commit window has expired, run deferred compaction.
-  /// Returns the amount of work done (0 = nothing pending).
+  /// Fsync the open commit batch, releasing every deferred ack
+  /// (UpdateAck / SubmitReply / output delivery) it gates, and repeat
+  /// until the acks' own records are durable too; then compact if due.
+  /// The shard loop calls this once per pass, a simulator at the instant
+  /// the first record is staged, in-process callers where a loop would.
+  /// Returns the number of records released (0 = nothing pending).
   std::size_t pump_persist();
-  /// How soon (ms) the event loop should call pump_persist() again for a
-  /// timely flush: remaining commit-window time when a window is open,
-  /// 1 ms while a pipelined sync is in flight (its acks are waiting to be
-  /// collected), -1 when nothing is pending and the loop may sleep its
-  /// full poll timeout.
-  int persist_poll_hint_ms() const;
 
  private:
   struct Connection {
@@ -374,15 +362,10 @@ class ShadowServer {
   /// and re-deliver outputs the client never acknowledged.
   void resync_connection(Connection* conn);
 
-  /// Append one journal record (then compact if due). Returns true when
-  /// the mutation is durable — the caller may acknowledge it. With no
-  /// store attached this is trivially true. Classic sync-per-record
-  /// path; group-commit servers go through persist_append_then().
-  bool persist_append(persist::RecordType type, Bytes body);
-  /// Journal one record and run `on_durable` once it is fsynced: inline
-  /// (classic / window=0) or from the flush that seals its batch (group
-  /// commit). On storage failure the callback never runs and the server
-  /// stops acking. Pass nullptr for non-gating records.
+  /// Journal one record and run `on_durable` once it is fsynced, from the
+  /// flush that seals its batch (inline with no store attached). On
+  /// storage failure the callback never runs and the server stops
+  /// acking. Pass nullptr for non-gating records.
   void persist_append_then(persist::RecordType type, Bytes body,
                            std::function<void()> on_durable);
   /// Storage refused a write/fsync: count it, stop acking, log once.
@@ -390,9 +373,9 @@ class ShadowServer {
   /// Deferred compaction: runs only between batches so snapshot-then-
   /// truncate never sits on the ack path.
   void maybe_compact_persist();
-  /// Arm the commit-window flush for the just-staged record (simulator:
-  /// schedule; real time: open the window for pump_persist()).
-  void schedule_window_flush();
+  /// Snapshot-then-truncate now. A failure is a journal failure: it is
+  /// recorded like a refused append and the server stops acking.
+  void compact_persist();
   /// Send only if `conn` is still one of ours under the same client name
   /// (deferred acks may outlive a detach).
   void send_if_attached(Connection* conn, const std::string& client_name,
@@ -422,9 +405,7 @@ class ShadowServer {
   PeerRouteFn peer_router_;  // cross-shard send_to fallback
   persist::DurableStore* store_;  // nullptr = in-memory only
   bool persist_dead_ = false;     // storage refused a write; stop acking
-  bool persist_flush_scheduled_ = false;  // sim-mode window flush armed
-  bool persist_window_open_ = false;      // real-time window running
-  u64 persist_window_start_us_ = 0;       // steady-clock stamp at open
+  bool persist_flush_scheduled_ = false;  // simulator flush armed
   LoadMonitor load_monitor_;
   bool load_retry_scheduled_ = false;
   bool draining_ = false;  // refusing new work; exiting soon

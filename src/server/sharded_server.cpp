@@ -177,8 +177,8 @@ void ShardedServer::begin_drain() {
 bool ShardedServer::drain_complete() {
   std::vector<char> done(shards_.size(), 0);
   on_every_shard([this, &done](std::size_t i) {
-    // drain() collects finished pipelined batches (releasing their acks)
-    // before the completeness check — all on shard i's own thread.
+    // Flush what the shard staged since its last pass (releasing the
+    // acks) before the completeness check — on shard i's own thread.
     (void)shards_[i]->pump_persist();
     done[i] = shards_[i]->drain_complete() ? 1 : 0;
   });
@@ -209,21 +209,16 @@ void ShardedServer::start_threads() {
     loop->set_on_detach([this, i](net::TcpTransport* t) {
       shards_[i]->detach(t);
     });
-    // Per-shard group commit: the idle hook closes expired commit
-    // windows and collects pipelined batches without any cross-shard
-    // coordination — each shard batches only its own journal. While a
-    // window is open the loop polls with the window's remaining time as
-    // its timeout, so a deferred ack never waits out the full 50 ms
-    // default on an otherwise idle shard.
-    loop->set_on_idle([this, i, raw = loop.get()] {
+    // Per-shard group commit: every record the pass's I/O staged shares
+    // one fsync here, and the acks go out before the loop polls again —
+    // no cross-shard coordination, each shard batches only its journal.
+    loop->set_on_idle([this, i] {
       (void)shards_[i]->pump_persist();
       // Lease expiry and doomed-connection reaping run here — never from
       // inside a handler — so a reclaimed Connection can't be on the
       // loop's dispatch stack.
       (void)shards_[i]->expire_leases();
       (void)shards_[i]->reap_doomed();
-      const int hint = shards_[i]->persist_poll_hint_ms();
-      if (hint > 0) raw->set_poll_timeout_hint(hint);
     });
     loops_.push_back(std::move(loop));
   }
@@ -239,14 +234,11 @@ void ShardedServer::stop_threads() {
     if (thread.joinable()) thread.join();
   }
   threads_.clear();
-  // Close every shard's open commit window before shutdown returns: a
-  // record the server wrote must not sit unfsynced in a batch whose
-  // window never expired. Any acks this releases go to connections the
-  // stopped loops already detached, which send_if_attached drops.
-  for (auto& shard : shards_) {
-    shard->flush_persist();
-    shard->wait_persist_idle();
-  }
+  // Flush every shard's open batch before shutdown returns: a record the
+  // server wrote must not sit unfsynced. Any acks this releases go to
+  // connections the stopped loops already detached, which
+  // send_if_attached drops.
+  for (auto& shard : shards_) (void)shard->pump_persist();
 }
 
 void ShardedServer::adopt_tcp(std::unique_ptr<net::TcpTransport> transport) {

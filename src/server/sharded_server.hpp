@@ -126,11 +126,11 @@ class ShardedServer {
   /// Enter drain on every shard (on its own thread when threaded): new
   /// Hellos — lobby included — and submits are refused with
   /// ServerBusy(draining), connected clients are notified once, and the
-  /// open group-commit windows are sealed. Idempotent.
+  /// open commit batches are flushed. Idempotent.
   void begin_drain();
   bool draining() const { return draining_; }
   /// True once every shard's journaled records have fsynced and released
-  /// their parked acks (checked on the shard threads when threaded).
+  /// their deferred acks (checked on the shard threads when threaded).
   bool drain_complete();
 
   /// Lease sweep + doomed-connection reap on every shard (inline mode /

@@ -345,6 +345,7 @@ TEST_P(FuzzSeeds, RandomBytesAsDurableStateRecoverCleanly) {
     net::pump(pair);
     ASSERT_TRUE(editor.create("/home/user/f", "b\na\n").ok());
     net::pump(pair);
+    (void)server.pump_persist();  // where the shard loop's pass would end
     EXPECT_TRUE(server.persist_alive());
     EXPECT_GE(server.stats().journal_appends, 1u)
         << "the recovered store must accept new appends";

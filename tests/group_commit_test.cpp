@@ -1,13 +1,12 @@
 // Group-commit WAL tests: batching semantics of the deferred-append path
-// (seal caps, flush ordering, the window=0 byte-for-byte guarantee), the
-// no-partial-release rule when a batch's fsync fails, pipelined overlap
-// (records parked while the worker syncs, promoted in order), the server's
-// ack-deferral contract, and crash trials that die at batch boundaries —
-// between a batch's appends and its fsync, and at the fsync itself.
+// (seal caps, flush ordering, the cap-1 byte-for-byte guarantee), the
+// no-partial-release rule when a batch's fsync fails, the server's
+// ack-deferral contract (one pump, one fsync), a compaction failure that
+// stops acks, and crash trials that die at batch boundaries — between a
+// batch's appends and its fsync, and at the fsync itself.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "persist/storage.hpp"
 #include "persist/wal.hpp"
 #include "server/shadow_server.hpp"
+#include "telemetry/registry.hpp"
 #include "util/logging.hpp"
 #include "vfs/cluster.hpp"
 
@@ -40,12 +40,9 @@ class QuietLogs {
 
 Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
-persist::GroupCommitConfig grouped_config(u64 max_records = 128,
-                                          bool pipeline = false) {
+persist::GroupCommitConfig capped_at(u64 max_records) {
   persist::GroupCommitConfig gc;
-  gc.window_us = 1'000'000;  // the tests drive every flush explicitly
   gc.max_batch_records = max_records;
-  gc.pipeline = pipeline;
   return gc;
 }
 
@@ -54,7 +51,6 @@ persist::GroupCommitConfig grouped_config(u64 max_records = 128,
 TEST(GroupCommitTest, CallbacksWaitForFlushAndReleaseInOrder) {
   persist::MemDir dir;
   persist::DurableStore store(&dir, 100);
-  store.set_group_commit(grouped_config());
 
   std::vector<int> released;
   for (int i = 0; i < 5; ++i) {
@@ -82,7 +78,7 @@ TEST(GroupCommitTest, CallbacksWaitForFlushAndReleaseInOrder) {
 TEST(GroupCommitTest, BatchSealsAtRecordCap) {
   persist::MemDir dir;
   persist::DurableStore store(&dir, 100);
-  store.set_group_commit(grouped_config(/*max_records=*/3));
+  store.set_group_commit(capped_at(3));
 
   int released = 0;
   for (int i = 0; i < 3; ++i) {
@@ -104,7 +100,7 @@ TEST(GroupCommitTest, BatchSealsAtRecordCap) {
 TEST(GroupCommitTest, BatchSealsAtByteCap) {
   persist::MemDir dir;
   persist::DurableStore store(&dir, 100);
-  auto gc = grouped_config();
+  persist::GroupCommitConfig gc;
   gc.max_batch_bytes = 64;
   store.set_group_commit(gc);
 
@@ -121,14 +117,13 @@ TEST(GroupCommitTest, BatchSealsAtByteCap) {
   EXPECT_EQ(store.stats().group_flushes, 1u);
 }
 
-TEST(GroupCommitTest, WindowZeroMatchesClassicByteForByte) {
+TEST(GroupCommitTest, CapOneMatchesAppendByteForByte) {
   persist::MemDir classic_dir;
   persist::DurableStore classic(&classic_dir, 100);
 
   persist::MemDir w0_dir;
   persist::DurableStore w0(&w0_dir, 100);
-  persist::GroupCommitConfig gc;  // window_us stays 0
-  w0.set_group_commit(gc);
+  w0.set_group_commit(capped_at(1));
 
   const std::vector<std::pair<persist::RecordType, std::string>> records = {
       {persist::RecordType::kShadowCached, "alpha"},
@@ -144,7 +139,7 @@ TEST(GroupCommitTest, WindowZeroMatchesClassicByteForByte) {
                                      inline_ack = true;
                                    })
                     .ok());
-    // window=0 resolves the callback BEFORE append_deferred returns.
+    // Cap 1 seals, syncs and resolves BEFORE append_deferred returns.
     EXPECT_TRUE(inline_ack);
   }
 
@@ -156,6 +151,7 @@ TEST(GroupCommitTest, WindowZeroMatchesClassicByteForByte) {
   EXPECT_EQ(classic_dir.pending_bytes(), 0u);
   EXPECT_EQ(w0_dir.pending_bytes(), 0u);  // same fsync-per-record rhythm
   EXPECT_EQ(w0.pending_records(), 0u);
+  EXPECT_EQ(w0.stats().group_flushes, records.size());  // one sync each
 }
 
 // ---- failure semantics (the no-partial-release rule) ----
@@ -168,7 +164,6 @@ TEST(GroupCommitTest, FsyncFailureFailsWholeBatchNeverASubset) {
   plan.crash_at_write = 4;  // three appends, then THE batch fsync
   persist::FaultFs faults(&mem, plan);
   persist::DurableStore store(&faults, 100);
-  store.set_group_commit(grouped_config());
 
   int ok_acks = 0;
   int failed_acks = 0;
@@ -210,7 +205,6 @@ TEST(GroupCommitTest, FsyncFailureFailsWholeBatchNeverASubset) {
 TEST(GroupCommitTest, DropPendingDiscardsCallbacksWithoutInvoking) {
   persist::MemDir dir;
   persist::DurableStore store(&dir, 100);
-  store.set_group_commit(grouped_config());
 
   int invoked = 0;
   ASSERT_TRUE(store
@@ -226,7 +220,6 @@ TEST(GroupCommitTest, DropPendingDiscardsCallbacksWithoutInvoking) {
 TEST(GroupCommitTest, CompactionFlushesTheOpenBatchFirst) {
   persist::MemDir dir;
   persist::DurableStore store(&dir, /*compact_every=*/2);
-  store.set_group_commit(grouped_config());
 
   int released = 0;
   for (int i = 0; i < 3; ++i) {
@@ -253,142 +246,6 @@ TEST(GroupCommitTest, CompactionFlushesTheOpenBatchFirst) {
   EXPECT_TRUE(recovered.value().records.empty());  // truncated after snapshot
 }
 
-// ---- pipelined overlap ----
-
-/// StorageDir decorator whose sync() blocks until the gate opens — the
-/// only deterministic way to hold the pipeline worker mid-fsync while the
-/// owner keeps appending (and must therefore park, not write).
-class GateDir final : public persist::StorageDir {
- public:
-  explicit GateDir(persist::StorageDir* inner) : inner_(inner) {}
-
-  Result<std::unique_ptr<persist::StorageFile>> open_append(
-      const std::string& name) override {
-    SHADOW_ASSIGN_OR_RETURN(inner, inner_->open_append(name));
-    return std::unique_ptr<persist::StorageFile>(
-        new GateFile(this, std::move(inner)));
-  }
-  Result<Bytes> read(const std::string& name) override {
-    return inner_->read(name);
-  }
-  bool exists(const std::string& name) const override {
-    return inner_->exists(name);
-  }
-  Status write_atomic(const std::string& name, const Bytes& data) override {
-    return inner_->write_atomic(name, data);
-  }
-  Status remove(const std::string& name) override {
-    return inner_->remove(name);
-  }
-  std::vector<std::string> list() const override { return inner_->list(); }
-
-  void close_gate() {
-    std::lock_guard<std::mutex> lk(mu_);
-    open_ = false;
-  }
-  void open_gate() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-  /// Block until a sync() is parked at the closed gate.
-  void await_sync_waiting() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return waiting_; });
-  }
-
- private:
-  class GateFile final : public persist::StorageFile {
-   public:
-    GateFile(GateDir* dir, std::unique_ptr<persist::StorageFile> inner)
-        : dir_(dir), inner_(std::move(inner)) {}
-    Status append(const Bytes& data) override { return inner_->append(data); }
-    Status sync() override {
-      {
-        std::unique_lock<std::mutex> lk(dir_->mu_);
-        dir_->waiting_ = true;
-        dir_->cv_.notify_all();
-        dir_->cv_.wait(lk, [this] { return dir_->open_; });
-        dir_->waiting_ = false;
-      }
-      return inner_->sync();
-    }
-    u64 size() const override { return inner_->size(); }
-
-   private:
-    GateDir* dir_;
-    std::unique_ptr<persist::StorageFile> inner_;
-  };
-
-  persist::StorageDir* inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = true;
-  bool waiting_ = false;
-};
-
-TEST(GroupCommitTest, PipelinedOverlapParksThenPromotesInOrder) {
-  persist::MemDir mem;
-  GateDir gate(&mem);
-  {
-    persist::DurableStore store(&gate, 100);
-    store.set_group_commit(grouped_config(128, /*pipeline=*/true));
-
-    std::vector<std::string> released;
-    auto ack_named = [&released](std::string name) {
-      return [&released, name](const Status& st) {
-        ASSERT_TRUE(st.ok());
-        released.push_back(name);
-      };
-    };
-
-    ASSERT_TRUE(store
-                    .append_deferred(persist::RecordType::kShadowCached,
-                                     bytes_of("first"), ack_named("first"))
-                    .ok());
-    gate.close_gate();
-    ASSERT_TRUE(store.flush().ok());  // worker enters sync and blocks
-    gate.await_sync_waiting();
-    ASSERT_TRUE(store.sync_in_flight());
-
-    // The owner keeps accepting records while the fsync runs: these are
-    // framed + CRC'd now but PARKED — the owner never touches storage a
-    // worker might be syncing.
-    ASSERT_TRUE(store
-                    .append_deferred(persist::RecordType::kJobSubmitted,
-                                     bytes_of("second"), ack_named("second"))
-                    .ok());
-    ASSERT_TRUE(store
-                    .append_deferred(persist::RecordType::kShadowEvicted,
-                                     bytes_of("third"), ack_named("third"))
-                    .ok());
-    EXPECT_TRUE(released.empty());
-    EXPECT_EQ(store.pending_records(), 3u);
-
-    gate.open_gate();
-    store.wait_idle();  // drain the first batch, promote + flush the parked
-    EXPECT_EQ(released,
-              (std::vector<std::string>{"first", "second", "third"}));
-    EXPECT_EQ(store.pending_records(), 0u);
-    EXPECT_GE(store.stats().group_flushes, 2u);
-  }
-
-  // The journal holds all three records, in append order, fully synced.
-  persist::DurableStore reader(&mem, 100);
-  auto recovered = reader.recover();
-  ASSERT_TRUE(recovered.ok());
-  ASSERT_EQ(recovered.value().records.size(), 3u);
-  EXPECT_EQ(recovered.value().records[0].type,
-            persist::RecordType::kShadowCached);
-  EXPECT_EQ(recovered.value().records[1].type,
-            persist::RecordType::kJobSubmitted);
-  EXPECT_EQ(recovered.value().records[2].type,
-            persist::RecordType::kShadowEvicted);
-  EXPECT_EQ(mem.pending_bytes(), 0u);
-}
-
 // ---- the server's ack-deferral contract ----
 
 TEST(GroupCommitTest, ServerDefersAcksUntilTheBatchIsDurable) {
@@ -397,7 +254,6 @@ TEST(GroupCommitTest, ServerDefersAcksUntilTheBatchIsDurable) {
 
   persist::MemDir disk;
   persist::DurableStore store(&disk, 100);
-  store.set_group_commit(grouped_config());
 
   server::ServerConfig sc;
   sc.name = "super";
@@ -422,23 +278,124 @@ TEST(GroupCommitTest, ServerDefersAcksUntilTheBatchIsDurable) {
   EXPECT_EQ(server.stats().acks_deferred, 1u);
   EXPECT_GT(store.pending_records(), 0u);
 
-  // While the window is open the server tells its event loop how soon to
-  // pump again — never longer than the window's remaining time (+1 ms of
-  // rounding) — so a deferred ack on an idle shard can't sit out the
-  // loop's full default poll timeout.
-  const int hint = server.persist_poll_hint_ms();
-  EXPECT_GT(hint, 0);
-  EXPECT_LE(hint,
-            static_cast<int>(store.group_commit().window_us / 1000) + 1);
-
-  server.flush_persist();  // the commit window closes
+  (void)server.pump_persist();  // the loop pass ends
   net::pump(pair);
   EXPECT_EQ(client.acked_versions("super").count(id.value().key()), 1u);
   EXPECT_EQ(server.stats().journal_appends, 1u);
   EXPECT_EQ(server.stats().persist_flushes, 1u);
   EXPECT_EQ(disk.pending_bytes(), 0u);
-  // Nothing pending: the loop may sleep its full poll timeout again.
-  EXPECT_EQ(server.persist_poll_hint_ms(), -1);
+}
+
+TEST(GroupCommitTest, OnePumpIsOneFsyncForEveryClientsUpdate) {
+  constexpr int kClients = 4;
+  vfs::Cluster cluster;
+  persist::MemDir disk;
+  persist::DurableStore store(&disk);  // default caps
+
+  server::ServerConfig sc;
+  sc.name = "super";
+  server::ShadowServer server(sc, nullptr, &store);
+
+  struct Writer {
+    std::unique_ptr<client::ShadowClient> client;
+    std::unique_ptr<client::ShadowEditor> editor;
+    net::LoopbackPair pair;
+  };
+  std::vector<Writer> writers(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    const std::string host = "ws" + std::to_string(i);
+    (void)cluster.add_host(host).mkdir_p("/home/user");
+    Writer& w = writers[i];
+    w.client = std::make_unique<client::ShadowClient>(
+        host, client::ShadowEnvironment{}, &cluster, "gc-domain");
+    w.editor = std::make_unique<client::ShadowEditor>(w.client.get(), &cluster);
+    w.pair = net::make_loopback_pair(host, "super");
+    server.attach(w.pair.b.get());
+    w.client->connect("super", w.pair.a.get());
+    net::pump(w.pair);
+  }
+
+  // One Update from each client reaches the server in the same pass.
+  for (auto& w : writers) {
+    ASSERT_TRUE(w.editor->create("/home/user/f", "one pass, one fsync").ok());
+    net::pump(w.pair);
+  }
+  EXPECT_EQ(server.stats().updates_received, static_cast<u64>(kClients));
+  for (auto& w : writers) {
+    EXPECT_TRUE(w.client->acked_versions("super").empty())
+        << "an UpdateAck left before its record was fsynced";
+  }
+  EXPECT_EQ(store.pending_records(), static_cast<u64>(kClients));
+  EXPECT_EQ(store.stats().group_flushes, 0u);
+
+  // The pass ends: one fsync covers all four records and releases all
+  // four acks.
+  EXPECT_EQ(server.pump_persist(), static_cast<std::size_t>(kClients));
+  EXPECT_EQ(store.stats().group_flushes, 1u);
+  EXPECT_EQ(store.stats().group_records, static_cast<u64>(kClients));
+  EXPECT_EQ(server.stats().persist_flushes, 1u);
+  EXPECT_EQ(disk.pending_bytes(), 0u);
+  for (auto& w : writers) {
+    net::pump(w.pair);
+    EXPECT_EQ(w.client->acked_versions("super").size(), 1u);
+  }
+}
+
+TEST(GroupCommitTest, CompactionFailureStopsAcksAndIsRecorded) {
+  QuietLogs quiet;
+  telemetry::Registry::global().reset_values();
+  vfs::Cluster cluster;
+  (void)cluster.add_host("ws").mkdir_p("/home/user");
+
+  // Write 1 is the journal append; write 2 is the snapshot's
+  // write_atomic, the first step of compaction — the storage dies there.
+  persist::MemDir mem;
+  persist::StorageFaultPlan plan;
+  plan.crash_at_write = 2;
+  persist::FaultFs faults(&mem, plan);
+  persist::DurableStore store(&faults, /*compact_every=*/1);
+
+  server::ServerConfig sc;
+  sc.name = "super";
+  server::ShadowServer server(sc, nullptr, &store);
+  client::ShadowClient client("ws", client::ShadowEnvironment{}, &cluster,
+                              "gc-domain");
+  client::ShadowEditor editor(&client, &cluster);
+  auto pair = net::make_loopback_pair("ws", "super");
+  server.attach(pair.b.get());
+  client.connect("super", pair.a.get());
+  net::pump(pair);
+
+  ASSERT_TRUE(editor.create("/home/user/f", "version one\n").ok());
+  net::pump(pair);
+  (void)server.pump_persist();  // fsync + ack, then the compaction dies
+  net::pump(pair);
+  auto id = client.resolve_name("/home/user/f");
+  ASSERT_TRUE(id.ok());
+  ASSERT_EQ(client.acked_versions("super").at(id.value().key()), 1u)
+      << "the record was fsynced before compaction: its ack stands";
+  EXPECT_EQ(server.stats().compactions, 0u);
+
+  bool recorded = false;
+  for (const auto& event : telemetry::Registry::global().events().recent()) {
+    if (event.kind == telemetry::EventKind::kJournal &&
+        event.detail == "compaction failed; persistence dead") {
+      recorded = true;
+    }
+  }
+  EXPECT_TRUE(recorded);
+  server.sync_telemetry();
+  auto& reg = telemetry::Registry::global();
+  EXPECT_EQ(reg.gauge("server.persist_alive").value(), 0.0);
+  EXPECT_EQ(reg.counter("server.journal_failures").value(), 1u);
+
+  // No durability can be promised any more: the next save is never acked.
+  ASSERT_TRUE(editor.create("/home/user/f", "version two\n").ok());
+  net::pump(pair);
+  (void)server.pump_persist();
+  net::pump(pair);
+  EXPECT_EQ(client.acked_versions("super").at(id.value().key()), 1u);
+  EXPECT_EQ(server.stats().updates_received, 2u);
 }
 
 // ---- crash trials at batch boundaries ----
@@ -448,15 +405,15 @@ TEST(GroupCommitTest, GroupedOracleMatchesClassicOracle) {
   core::CrashOptions classic;
   classic.seed = 11;
   classic.edits = 6;
-  // Count syncs on BOTH sides so the op totals are comparable: classic
-  // pays one sync per record, grouped one per batch.
+  classic.commit_max_batch_records = 1;  // the sync-per-record reference
+  // Count syncs on BOTH sides so the op totals are comparable: cap 1
+  // pays one sync per record, the default cap one per batch.
   classic.count_syncs_as_write_points = true;
   const auto baseline = core::run_crash_trial(classic, 0);
   ASSERT_TRUE(baseline.converged) << baseline.detail;
 
   core::CrashOptions grouped = classic;
-  grouped.commit_window_us = 1'000'000;
-  grouped.count_syncs_as_write_points = true;
+  grouped.commit_max_batch_records = core::CrashOptions{}.commit_max_batch_records;
   const auto batched = core::run_crash_trial(grouped, 0);
   ASSERT_TRUE(batched.converged) << batched.detail;
 
@@ -476,7 +433,6 @@ TEST(GroupCommitTest, CrashAtEveryGroupedPointKeepsAckedState) {
   options.seed = 23;
   options.edits = 5;
   options.writers = 2;
-  options.commit_window_us = 1'000'000;
   options.count_syncs_as_write_points = true;
 
   const auto oracle = core::run_crash_trial(options, 0);

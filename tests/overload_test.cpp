@@ -2,7 +2,7 @@
 // renewal, bounded per-connection output queues (slow consumers are
 // dropped, never allowed to wedge the server), the unified admission
 // budget answered with ServerBusy + retry_after_usec, jittered client
-// backoff, and graceful drain (notify, flush parked group-commit acks,
+// backoff, and graceful drain (notify, flush deferred group-commit acks,
 // refuse new work). The paper's best-effort contract (§5.1) extends to
 // overload: shed clients reconcile byte-identical after reconnecting —
 // degraded service, never corruption.
@@ -446,10 +446,7 @@ TEST(Drain, FlushesParkedAcksAndNotifiesClients) {
   (void)cluster.add_host("ws").mkdir_p("/home/user");
 
   persist::MemDir dir;
-  persist::DurableStore store(&dir);
-  persist::GroupCommitConfig gc;
-  gc.window_us = 60'000'000;  // nothing flushes unless drain forces it
-  store.set_group_commit(gc);
+  persist::DurableStore store(&dir);  // no loop: only drain flushes
 
   server::ServerConfig sc;
   sc.name = "super";
@@ -463,14 +460,14 @@ TEST(Drain, FlushesParkedAcksAndNotifiesClients) {
   client.connect("super", pair.a.get());
   net::pump(pair);
 
-  // The update's ack parks behind the open commit window.
+  // The update's ack waits for the open commit batch's fsync.
   ASSERT_TRUE(editor.create("/home/user/f", "contents\n").ok());
   net::pump(pair);
   ASSERT_GT(store.pending_records(), 0u);
   EXPECT_TRUE(client.acked_versions("super").empty());
   EXPECT_FALSE(server.drain_complete());
 
-  // Drain: the window is flushed (the parked ack resolves — never
+  // Drain: the batch is flushed (the deferred ack resolves — never
   // silently dropped) and every v1 client is told the server is leaving.
   server.begin_drain();
   EXPECT_TRUE(server.draining());
@@ -527,9 +524,6 @@ TEST(OverloadStress, ManyClientsTinyBudgetsWithMidTrafficDrain) {
 
   persist::MemDir dir;
   persist::DurableStore store(&dir);
-  persist::GroupCommitConfig gc;
-  gc.window_us = 100'000;
-  store.set_group_commit(gc);
 
   server::ServerConfig sc;
   sc.name = "super";
@@ -607,13 +601,13 @@ TEST(OverloadStress, ManyClientsTinyBudgetsWithMidTrafficDrain) {
     EXPECT_TRUE(clients[i]->job_done(tokens[i])) << "ws" << i;
   }
 
-  // SIGTERM arrives mid-traffic: drain. Every pending group-commit ack
+  // SIGTERM arrives mid-traffic: drain. Every pending commit-batch ack
   // must resolve (durably acked, never silently dropped) and the server
   // must refuse all new work while the backed-off clients keep retrying.
   server.begin_drain();
   const u64 rejects_at_drain = server.stats().busy_rejects;
   for (int r = 0; r < 30; ++r) (void)round();
-  server.flush_persist();
+  (void)server.pump_persist();
   EXPECT_TRUE(server.drain_complete());
   EXPECT_EQ(store.pending_records(), 0u);
   EXPECT_GE(server.stats().drain_notices, 4u);

@@ -25,7 +25,7 @@ general:
 server:
   name: big
   shards: 4
-  commit_window: 2ms
+  journal: on
   cache_budget: 16MB
   eviction: fifo
   pull: lazy
@@ -77,7 +77,7 @@ TEST(ScenarioSpec, ParsesEveryKey) {
   EXPECT_EQ(s.duration, 30u * sim::kMicrosPerSecond);
   EXPECT_EQ(s.seed, 99u);
   EXPECT_EQ(s.server.shards, 4u);
-  EXPECT_EQ(s.server.commit_window, 2000u);
+  EXPECT_TRUE(s.server.journal);
   EXPECT_EQ(s.server.cache_budget, 16'000'000u);
   EXPECT_EQ(s.server.eviction, cache::EvictionPolicy::kFifo);
   EXPECT_EQ(s.server.pull, server::PullPolicy::kLazyOnSubmit);
@@ -256,7 +256,7 @@ constexpr char kDeterminismSpec[] = R"(general:
   seed: 5
 server:
   shards: 2
-  commit_window: 1ms
+  journal: on
   max_active_jobs: 12
 links:
   flaky:

@@ -248,6 +248,8 @@ TEST(ShardedServerTest, PerShardJournalsRecoverIndependently) {
       update.new_version = 1;
       update.payload = full_payload("durable " + client.name + "\n");
       client.send(update);
+      (void)sharded.tick();  // the pass ends in the journal fsync
+      net::pump(client.pair);
       const auto* ack = client.last_of<proto::UpdateAck>();
       ASSERT_NE(ack, nullptr);
       ASSERT_TRUE(ack->ok);  // journaled before this ack

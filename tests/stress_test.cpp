@@ -158,11 +158,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SystemStress, ::testing::Range(0, 12));
 // ---- group-commit stress: 4 shard threads, batched fsyncs ----
 //
 // Thread-per-core ShardedServer over real TCP with per-shard FsDir
-// journals in group-commit mode (pipelined): every shard batches its own
-// connections' records under one fsync, the event loop's idle hook closes
-// expired windows, and the pipeline worker syncs while owners keep
-// framing. Runs under the tsan CI job (the *Stress* filter), so every
-// cross-thread handoff in the deferred-ack path gets raced for real.
+// journals: every shard batches its own connections' records under one
+// fsync at the end of each event-loop pass. Runs under the tsan CI job
+// (the *Stress* filter), so every cross-thread handoff in the
+// deferred-ack path gets raced for real.
 
 Bytes stress_full_payload(const std::string& content) {
   BufWriter w;
@@ -260,15 +259,11 @@ TEST(GroupCommitStress, FourShardThreadsBatchedFsync) {
   std::vector<std::unique_ptr<persist::FsDir>> dirs;
   std::vector<std::unique_ptr<persist::DurableStore>> stores;
   std::vector<persist::DurableStore*> store_ptrs;
-  persist::GroupCommitConfig gc;
-  gc.window_us = 1'500;
-  gc.pipeline = true;
   for (std::size_t i = 0; i < kShards; ++i) {
     dirs.push_back(std::make_unique<persist::FsDir>(
         root + "/shard" + std::to_string(i)));
     stores.push_back(
         std::make_unique<persist::DurableStore>(dirs.back().get()));
-    stores.back()->set_group_commit(gc);
     store_ptrs.push_back(stores.back().get());
   }
 
@@ -309,7 +304,7 @@ TEST(GroupCommitStress, FourShardThreadsBatchedFsync) {
     EXPECT_EQ(stats.updates_received, static_cast<u64>(kClients) * 8u);
     EXPECT_EQ(stats.jobs_completed, static_cast<u64>(kClients));
     EXPECT_EQ(stats.journal_failures, 0u);
-    // Acks were actually deferred and actually released by window flushes.
+    // Acks were actually deferred and actually released by pass flushes.
     EXPECT_GT(stats.acks_deferred, 0u);
     EXPECT_GT(stats.persist_flushes, 0u);
 

@@ -484,7 +484,6 @@ TEST(MetricsInvariants, GroupCommitAccountingIdentityHolds) {
   options.seed = 41;
   options.edits = 5;
   options.writers = 2;
-  options.commit_window_us = 1'000'000;
   auto outcome = core::run_crash_trial(options, 0);
   ASSERT_TRUE(outcome.converged) << outcome.detail;
 
@@ -522,9 +521,6 @@ TEST(MetricsInvariants, GroupCommitFailedBatchCountsEveryRecordOnce) {
   plan.crash_at_write = 3;  // two appends, then the dying batch fsync
   persist::FaultFs faults(&mem, plan);
   persist::DurableStore store(&faults, 100);
-  persist::GroupCommitConfig gc;
-  gc.window_us = 1'000'000;
-  store.set_group_commit(gc);
 
   Bytes body{0x41, 0x42};
   int callbacks = 0;

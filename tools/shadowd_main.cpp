@@ -18,20 +18,17 @@
 // itself; with N > 1 shard i journals in DIR/shard<i>. Inspect a journal
 // directory with tools/wal.
 //
-// Group commit (docs/DURABILITY.md): --commit-window USEC batches journal
-// records from concurrent connections under one fsync per window; 0 (the
-// default) keeps the classic fsync-per-record path byte-for-byte.
-// --commit-batch-records / --commit-batch-bytes seal a batch early;
-// --commit-pipeline overlaps the fsync with framing of the next batch.
+// Group commit (docs/DURABILITY.md): each pass of a shard's event loop
+// ends in one fsync covering every record the pass journaled, and the
+// acks it gates go out after that fsync.
 //
 // Overload control (docs/OPERATIONS.md): --lease-usec expires sessions
 // whose clients stopped talking; --max-connections / --max-conn-bytes /
-// --max-queued-bytes / --max-parked-acks / --max-active-jobs cap the
-// work the daemon will accept before answering ServerBusy with
-// --retry-after-usec. SIGTERM
+// --max-queued-bytes / --max-active-jobs cap the work the daemon will
+// accept before answering ServerBusy with --retry-after-usec. SIGTERM
 // (or SIGINT) begins a graceful drain: stop admitting, tell connected
-// clients, flush every open group-commit window, then exit — or give up
-// after --drain-deadline microseconds. A second signal exits at once.
+// clients, flush every open commit batch, then exit — or give up after
+// --drain-deadline microseconds. A second signal exits at once.
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -102,8 +99,6 @@ int main(int argc, char** argv) {
   std::size_t threads = 1;
   u64 drain_deadline_us = 5'000'000;
   std::string journal_dir;
-  persist::GroupCommitConfig group;
-  bool commit_flags = false;
   server::ServerConfig config;
   config.name = "supercomputer";
 
@@ -185,10 +180,6 @@ int main(int argc, char** argv) {
       unsigned long long n = 0;
       if (!parse_u64("--max-queued-bytes", next(), &n)) return 2;
       config.overload.max_total_queued_bytes = static_cast<std::size_t>(n);
-    } else if (arg == "--max-parked-acks") {
-      unsigned long long n = 0;
-      if (!parse_u64("--max-parked-acks", next(), &n)) return 2;
-      config.overload.max_parked_acks = static_cast<std::size_t>(n);
     } else if (arg == "--max-active-jobs") {
       unsigned long long n = 0;
       if (!parse_u64("--max-active-jobs", next(), &n)) return 2;
@@ -205,32 +196,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) { missing("--journal"); return 2; }
       journal_dir = v;
-    } else if (arg == "--commit-window") {
-      unsigned long long n = 0;
-      if (!parse_u64("--commit-window", next(), &n)) return 2;
-      group.window_us = n;
-      commit_flags = true;
-    } else if (arg == "--commit-batch-records") {
-      unsigned long long n = 0;
-      if (!parse_u64("--commit-batch-records", next(), &n)) return 2;
-      if (n == 0) {
-        std::fprintf(stderr, "shadowd: --commit-batch-records must be >= 1\n");
-        return 2;
-      }
-      group.max_batch_records = n;
-      commit_flags = true;
-    } else if (arg == "--commit-batch-bytes") {
-      unsigned long long n = 0;
-      if (!parse_u64("--commit-batch-bytes", next(), &n)) return 2;
-      if (n == 0) {
-        std::fprintf(stderr, "shadowd: --commit-batch-bytes must be >= 1\n");
-        return 2;
-      }
-      group.max_batch_bytes = n;
-      commit_flags = true;
-    } else if (arg == "--commit-pipeline") {
-      group.pipeline = true;
-      commit_flags = true;
     } else if (arg == "--verbose") {
       Logger::instance().set_level(LogLevel::kDebug);
     } else if (arg == "--log-level") {
@@ -249,12 +214,9 @@ int main(int argc, char** argv) {
       std::printf("usage: shadowd [--port N] [--name NAME] [--threads N] "
                   "[--cache-budget BYTES] [--eviction POLICY] "
                   "[--reverse-shadow] [--no-cdc] [--codec CODEC] "
-                  "[--journal DIR] [--commit-window USEC] "
-                  "[--commit-batch-records N] [--commit-batch-bytes B] "
-                  "[--commit-pipeline] [--lease-usec USEC] "
+                  "[--journal DIR] [--lease-usec USEC] "
                   "[--max-connections N] [--max-conn-bytes B] "
-                  "[--max-queued-bytes B] [--max-parked-acks N] "
-                  "[--max-active-jobs N] "
+                  "[--max-queued-bytes B] [--max-active-jobs N] "
                   "[--retry-after-usec USEC] [--drain-deadline USEC] "
                   "[--once] [--verbose] [--log-level LEVEL]\n");
       return 0;
@@ -262,12 +224,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "shadowd: unknown argument: %s\n", arg.c_str());
       return 2;
     }
-  }
-
-  if (commit_flags && journal_dir.empty()) {
-    std::fprintf(stderr,
-                 "shadowd: --commit-* options require --journal DIR\n");
-    return 2;
   }
 
   std::signal(SIGINT, handle_signal);
@@ -293,7 +249,6 @@ int main(int argc, char** argv) {
                        : journal_dir + "/shard" + std::to_string(i)));
       shard_stores.push_back(
           std::make_unique<persist::DurableStore>(shard_fs.back().get()));
-      shard_stores.back()->set_group_commit(group);
       store_ptrs.push_back(shard_stores.back().get());
     }
   }
@@ -331,7 +286,7 @@ int main(int argc, char** argv) {
   while (g_stop < 2) {
     if (g_stop != 0 && !sharded.draining()) {
       // Graceful drain: tell every connected v1 client, flush the open
-      // group-commit windows, and keep answering late dialers with
+      // commit batches, and keep answering late dialers with
       // ServerBusy(draining) until the deadline. A second signal (or the
       // deadline) forces the exit; stop_threads() below still syncs
       // whatever the journal already holds.
