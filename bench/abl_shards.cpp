@@ -61,13 +61,12 @@ naming::GlobalFileId file_id(const std::string& host, u64 inode) {
 }
 
 Bytes update_wire(const naming::GlobalFileId& id, const std::string& content) {
-  BufWriter w;
-  diff::Delta::make_full(content).encode(w);
   proto::Update update;
   update.file = id;
   update.base_version = 0;
   update.new_version = 3;
-  update.payload = compress::compress(w.take(), compress::Codec::kStored);
+  update.payload = proto::pack_payload(diff::Delta::make_full(content),
+                                       compress::Codec::kStored);
   return proto::encode_message(update);
 }
 

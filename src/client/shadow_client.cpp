@@ -544,13 +544,11 @@ Status ShadowClient::send_update(Session* session,
     ClientMetrics::get().cdc_sent.add();
   }
 
-  BufWriter w;
-  delta.encode(w);
   proto::Update update;
   update.file = file;
   update.base_version = actual_base;
   update.new_version = version;
-  update.payload = compress::compress(w.take(), env_.codec);
+  update.payload = proto::pack_payload(delta, env_.codec);
 
   ++stats_.updates_sent;
   stats_.update_payload_bytes += update.payload.size();
@@ -618,10 +616,11 @@ void ShadowClient::handle(Session* session, const proto::UpdateAck& m) {
   ++stats_.acks_received;
   ClientMetrics::get().acks_received.add();
   if (!m.ok) {
-    // The server could not apply our update (corrupt payload, wrong base
-    // — a desync). Forget what it holds and resend the newest version as
-    // full content: delta sync must degrade to a full-file transfer,
-    // never to a corrupt shadow copy (§5.1).
+    // An older server could not apply our update (corrupt payload, wrong
+    // base — a desync); current servers re-pull instead of nacking. Forget
+    // what it holds and resend the newest version as full content: delta
+    // sync must degrade to a full-file transfer, never to a corrupt shadow
+    // copy (§5.1).
     SHADOW_WARN() << name_ << ": server failed to apply update v"
                   << m.version << " of " << m.file.display() << ": "
                   << m.error << "; resending full";
@@ -786,17 +785,6 @@ void ShadowClient::handle(Session* session, const proto::JobOutput& m) {
                                      m.error_payload.size());
   }
 
-  auto decode_payload = [](const Bytes& payload) -> Result<diff::Delta> {
-    SHADOW_ASSIGN_OR_RETURN(raw, compress::decompress(payload));
-    BufReader reader(raw);
-    SHADOW_ASSIGN_OR_RETURN(delta, diff::Delta::decode(reader));
-    if (!reader.at_end()) {
-      return Error{ErrorCode::kProtocolError,
-                   "trailing bytes after output delta"};
-    }
-    return delta;
-  };
-
   auto nack = [&](const std::string& why) {
     proto::JobOutputAck ack;
     ack.job_id = m.job_id;
@@ -807,7 +795,7 @@ void ShadowClient::handle(Session* session, const proto::JobOutput& m) {
     send(session, ack);
   };
 
-  auto output_delta = decode_payload(m.output_payload);
+  auto output_delta = proto::unpack_payload(m.output_payload);
   if (!output_delta.ok()) {
     nack(output_delta.error().to_string());
     return;
@@ -839,7 +827,7 @@ void ShadowClient::handle(Session* session, const proto::JobOutput& m) {
         OutputCacheEntry{m.output_generation, output_content};
   }
 
-  auto error_delta = decode_payload(m.error_payload);
+  auto error_delta = proto::unpack_payload(m.error_payload);
   if (!error_delta.ok()) {
     nack(error_delta.error().to_string());
     return;

@@ -144,15 +144,9 @@ ChaosOutcome run_chaos_trial(const ChaosOptions& options) {
     out.converged = true;
   }
 
-  out.full_transfers = server.stats().full_transfers;
-  out.delta_transfers = server.stats().delta_transfers;
-  out.cdc_transfers = server.stats().cdc_transfers;
-  out.digest_advances = server.stats().digest_advances;
-  out.digest_advance_failures = server.stats().digest_advance_failures;
+  out.server = server.stats();
   out.cdc_sent = client.stats().cdc_sent;
   out.client_resyncs = client.stats().session_resyncs;
-  out.server_resyncs = server.stats().session_resyncs;
-  out.nack_full_resends = client.stats().nack_full_resends;
   out.to_server_faults = to_server.fault_stats();
   out.to_client_faults = to_client.fault_stats();
   if (const auto* channel = client.session_channel("super")) {

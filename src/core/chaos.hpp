@@ -15,6 +15,7 @@
 #include "diff/delta.hpp"
 #include "net/fault_transport.hpp"
 #include "proto/session.hpp"
+#include "server/shadow_server.hpp"
 #include "util/types.hpp"
 
 namespace shadow::core {
@@ -60,15 +61,9 @@ struct ChaosOutcome {
   u32 server_entry_crc = 0;
   u64 server_described_bytes = 0;
 
-  u64 full_transfers = 0;   // server-side: updates carrying full content
-  u64 delta_transfers = 0;  // server-side: updates carrying a delta
-  u64 cdc_transfers = 0;    // server-side: updates carrying a chunk delta
-  u64 digest_advances = 0;  // server-side: signature advanced without bytes
-  u64 digest_advance_failures = 0;
+  server::ServerStats server;  // the server's counters at the end
   u64 cdc_sent = 0;         // client-side: updates shipped as chunk deltas
   u64 client_resyncs = 0;
-  u64 server_resyncs = 0;
-  u64 nack_full_resends = 0;  // client full resends after UpdateAck nack
 
   net::FaultStats to_server_faults;  // client→server direction
   net::FaultStats to_client_faults;  // server→client direction

@@ -656,4 +656,21 @@ Result<Message> decode_message(const Bytes& wire) {
   return out;
 }
 
+Bytes pack_payload(const diff::Delta& delta, compress::Codec codec) {
+  BufWriter w;
+  delta.encode(w);
+  return compress::compress(w.take(), codec);
+}
+
+Result<diff::Delta> unpack_payload(const Bytes& payload) {
+  SHADOW_ASSIGN_OR_RETURN(raw, compress::decompress(payload));
+  BufReader reader(raw);
+  SHADOW_ASSIGN_OR_RETURN(delta, diff::Delta::decode(reader));
+  if (!reader.at_end()) {
+    return Error{ErrorCode::kProtocolError,
+                 "trailing bytes after delta payload"};
+  }
+  return delta;
+}
+
 }  // namespace shadow::proto

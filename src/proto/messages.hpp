@@ -18,13 +18,16 @@
 //
 // Update and JobOutput payloads are a diff::Delta encoded and then wrapped
 // by compress::compress() (self-describing codec tag), so compression is
-// negotiated per message at zero protocol cost.
+// negotiated per message at zero protocol cost. pack_payload() and
+// unpack_payload() are the only writer and reader of that format.
 #pragma once
 
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "compress/compress.hpp"
+#include "diff/delta.hpp"
 #include "naming/file_id.hpp"
 #include "telemetry/registry.hpp"
 #include "util/byte_io.hpp"
@@ -153,12 +156,13 @@ struct Update {
   naming::GlobalFileId file;
   u64 base_version = 0;
   u64 new_version = 0;
-  Bytes payload;  // compress(encode(diff::Delta))
+  Bytes payload;  // pack_payload(delta, codec)
 };
 
 /// Server -> client: cache now holds `version`; older client-side versions
-/// may be garbage-collected. ok=false reports an apply failure (e.g. CRC
-/// mismatch); the client should renotify so the server can re-pull full.
+/// may be garbage-collected. This server never sends ok=false: it answers
+/// an Update it cannot use with a full re-pull instead. Older servers
+/// nack (ok=false), and the client then resends the file in full.
 struct UpdateAck {
   naming::GlobalFileId file;
   u64 version = 0;
@@ -285,5 +289,12 @@ Bytes encode_message(const Message& message);
 
 /// Parse a message; rejects malformed or truncated input.
 Result<Message> decode_message(const Bytes& wire);
+
+/// Update/JobOutput payload: `delta` encoded, then compressed with `codec`.
+Bytes pack_payload(const diff::Delta& delta, compress::Codec codec);
+
+/// Inverse of pack_payload(); rejects a bad codec tag, an undecodable
+/// delta and trailing bytes after the delta.
+Result<diff::Delta> unpack_payload(const Bytes& payload);
 
 }  // namespace shadow::proto

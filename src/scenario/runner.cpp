@@ -312,16 +312,7 @@ Result<ScenarioReport> ScenarioRunner::run() {
   server::ServerStats server_sum;
   for (auto* server : shard_servers) {
     server->sync_telemetry();
-    const auto& st = server->stats();
-    server_sum.updates_received += st.updates_received;
-    server_sum.jobs_submitted += st.jobs_submitted;
-    server_sum.jobs_completed += st.jobs_completed;
-    server_sum.outputs_sent += st.outputs_sent;
-    server_sum.output_bytes += st.output_bytes;
-    server_sum.full_transfers += st.full_transfers;
-    server_sum.delta_transfers += st.delta_transfers;
-    server_sum.cdc_transfers += st.cdc_transfers;
-    server_sum.busy_rejects += st.busy_rejects;
+    server_sum += server->stats();
   }
 
   for (std::size_t ci = 0; ci < sc.hosts.size(); ++ci) {

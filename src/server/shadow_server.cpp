@@ -142,32 +142,6 @@ void ShadowServer::send_if_attached(Connection* conn,
   // re-offers after reconnecting, so dropping the ack is safe.
 }
 
-Bytes ShadowServer::cached_record_body(const FileState& state, u64 version,
-                                       u32 crc,
-                                       const std::string& content) {
-  BufWriter w;
-  state.id.encode(w);
-  w.put_string(state.cache_key);
-  w.put_varint(version);
-  w.put_u32(crc);
-  w.put_string(content);
-  w.put_string(state.owner_client);
-  return w.take();
-}
-
-Bytes ShadowServer::digest_record_body(const FileState& state, u64 version,
-                                       u32 crc,
-                                       const cdc::Signature& signature) {
-  BufWriter w;
-  state.id.encode(w);
-  w.put_string(state.cache_key);
-  w.put_varint(version);
-  w.put_u32(crc);
-  signature.encode(w);
-  w.put_string(state.owner_client);
-  return w.take();
-}
-
 Bytes ShadowServer::finished_record_body(const job::JobRecord& record) {
   BufWriter w;
   w.put_varint(record.job_id);
@@ -728,7 +702,12 @@ void ShadowServer::release_pull_slot(FileState& state) {
 }
 
 void ShadowServer::repull_full(Connection* conn, FileState& state,
-                               const proto::Update& m) {
+                               const proto::Update& m,
+                               const std::string& why) {
+  ++stats_.full_repulls;
+  record_event(telemetry::EventKind::kCache,
+               "full re-pull " + state.cache_key + " v" +
+                   std::to_string(m.new_version) + ": " + why);
   proto::PullRequest pull;
   pull.file = m.file;
   pull.have_version = 0;
@@ -736,6 +715,22 @@ void ShadowServer::repull_full(Connection* conn, FileState& state,
   take_pull_slot(state, m.new_version);
   ++stats_.pulls_sent;
   send(conn, pull);
+}
+
+bool ShadowServer::needed_by_job(const std::string& cache_key, u64 version) {
+  for (const auto& [id, record] : queue_.all()) {
+    if (record.state != proto::JobState::kQueued &&
+        record.state != proto::JobState::kWaitingFiles) {
+      continue;
+    }
+    for (const auto& ref : record.files) {
+      if (version >= ref.version &&
+          domains_.cache_key(ref.file) == cache_key) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 void ShadowServer::handle(Connection* conn, const proto::Update& m) {
@@ -749,302 +744,186 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
     release_pull_slot(state);
   }  // else it answers an older pull; the newer one still holds the slot
 
-  // Unwrap compression, then the delta.
-  auto raw = compress::decompress(m.payload);
-  if (!raw.ok()) {
-    proto::UpdateAck nack;
-    nack.file = m.file;
-    nack.version = m.new_version;
-    nack.ok = false;
-    nack.error = raw.error().to_string();
-    send(conn, nack);
+  auto unpacked = proto::unpack_payload(m.payload);
+  if (!unpacked.ok()) {
+    repull_full(conn, state, m, unpacked.error().to_string());
     return;
   }
-  BufReader reader(raw.value());
-  auto delta = diff::Delta::decode(reader);
-  if (delta.ok() && !reader.at_end()) {
-    delta = Error{ErrorCode::kProtocolError,
-                  "trailing bytes after delta payload"};
-  }
-  if (!delta.ok()) {
-    proto::UpdateAck nack;
-    nack.file = m.file;
-    nack.version = m.new_version;
-    nack.ok = false;
-    nack.error = delta.error().to_string();
-    send(conn, nack);
-    return;
-  }
+  const diff::Delta& delta = unpacked.value();
+  static const std::string kNoBase;
+  const cache::CacheEntry* held = cache_.peek(state.cache_key);
 
-  // CDC deltas never materialize content on the server: they advance the
-  // file's chunk-digest signature instead (per-user memory O(digests)).
-  if (delta.value().format == diff::Delta::Format::kCdc) {
-    handle_cdc_update(conn, m, state, delta.value());
-    return;
-  }
-
+  // Each arm makes the new version: its CRC and size, plus its bytes
+  // (content arm) or only its chunk digests (CDC arm).
+  u32 crc = 0;
+  u64 size = 0;
   std::string content;
-  if (delta.value().needs_base()) {
-    ++stats_.delta_transfers;
-    auto base = cache_.get(state.cache_key);
-    if (!base.ok() || base.value()->version != m.base_version ||
-        !base.value()->has_bytes()) {
-      // Best-effort cache lost the base (or holds the wrong one, or holds
-      // only its digests — a line delta cannot apply to a signature).
-      SHADOW_DEBUG() << config_.name << ": base v" << m.base_version
-                     << " unavailable for " << m.file.display()
-                     << "; re-pulling full";
-      repull_full(conn, state, m);
-      return;
+  std::optional<cdc::Signature> digests;
+  if (delta.format != diff::Delta::Format::kCdc) {
+    const std::string* base = &kNoBase;
+    if (delta.needs_base()) {
+      ++stats_.delta_transfers;
+      auto cached = cache_.get(state.cache_key);
+      // The best-effort cache lost the base, holds the wrong one, or holds
+      // only its digests: a line delta cannot apply to a signature.
+      if (!cached.ok() || cached.value()->version != m.base_version ||
+          !cached.value()->has_bytes()) {
+        repull_full(conn, state, m,
+                    "base v" + std::to_string(m.base_version) +
+                        " not cached as bytes");
+        return;
+      }
+      base = &cached.value()->content;
+    } else {
+      ++stats_.full_transfers;
     }
-    auto applied = delta.value().apply(base.value()->content);
+    // apply() verifies the delta's CRC, full content included: bit flips
+    // inside a payload survive decode, so skipping it would cache bad bytes.
+    auto applied = delta.apply(*base);
     if (!applied.ok()) {
-      repull_full(conn, state, m);
+      repull_full(conn, state, m, applied.error().to_string());
       return;
     }
     content = std::move(applied).take();
+    crc = crc32(reinterpret_cast<const u8*>(content.data()), content.size());
+    size = content.size();
   } else {
-    ++stats_.full_transfers;
-    // apply() on a full-content delta verifies full_crc — bit flips inside
-    // the content survive decode, so skipping this would cache bad bytes.
-    auto verified = delta.value().apply(std::string());
-    if (!verified.ok()) {
-      proto::UpdateAck nack;
-      nack.file = m.file;
-      nack.version = m.new_version;
-      nack.ok = false;
-      nack.error = verified.error().to_string();
-      send(conn, nack);
+    ++stats_.delta_transfers;
+    ++stats_.cdc_transfers;
+    const cdc::CdcDelta& d = delta.cdc;
+    // Resolve the base signature the copy ops reference. A digest entry IS
+    // the signature; a content entry is chunked on the fly (the transition
+    // put: from here on the file is digest-tracked); no copies need no base.
+    cdc::Signature base_sig;
+    base_sig.params = d.params;
+    if (d.has_copies()) {
+      if (held == nullptr || held->version != m.base_version) {
+        repull_full(conn, state, m,
+                    "cdc base v" + std::to_string(m.base_version) +
+                        " not cached");
+        return;
+      }
+      base_sig = held->has_bytes() ? cdc::signature_of(held->content, d.params)
+                                   : held->signature;
+    }
+    // Advance digests only: copies are membership-checked against the base
+    // signature, literals are digested, and the composed whole-file CRC
+    // must match the sender's target CRC (the digest-mode verified apply).
+    auto advanced = d.signature_after(base_sig);
+    if (!advanced.ok()) {
+      ++stats_.digest_advance_failures;
+      repull_full(conn, state, m, advanced.error().to_string());
       return;
     }
-    content = std::move(verified).take();
+    ++stats_.digest_advances;
+    crc = d.target_crc;
+    size = d.target_bytes;
+    digests = std::move(advanced).take();
   }
 
-  const u32 content_crc =
-      crc32(reinterpret_cast<const u8*>(content.data()), content.size());
   // The notify for this exact version told us its CRC. A mismatch means
-  // the payload was damaged in flight yet still decoded (bit flips inside
-  // the delta text): nack so the client resends full — never cache bad
-  // bytes.
+  // the payload was damaged in flight yet still decoded and applied. One
+  // shot only: the RECORDED crc may itself be the damaged half (a bad
+  // notify), so the full copy the re-pull brings is accepted on its own
+  // delta CRC.
   if (m.new_version == state.latest_known && state.latest_crc != 0 &&
-      content_crc != state.latest_crc) {
-    // One shot only: the RECORDED crc may itself be the corrupted half
-    // (a damaged notify). The nacked client resends full content, whose
-    // own delta CRC vouches for it; accept that resend.
+      crc != state.latest_crc) {
     state.latest_crc = 0;
-    proto::UpdateAck nack;
-    nack.file = m.file;
-    nack.version = m.new_version;
-    nack.ok = false;
-    nack.error = "content crc mismatch";
-    send(conn, nack);
+    repull_full(conn, state, m, "content crc mismatch");
     return;
   }
   if (m.new_version > state.latest_known) {
     state.latest_known = m.new_version;
-    state.latest_size = content.size();
-    state.latest_crc = content_crc;
+    state.latest_size = size;
+    state.latest_crc = crc;
   }
 
-  // Pin the content if an active job needs it and the cache may refuse it.
-  bool needed_by_job = false;
-  for (const auto& [id, record] : queue_.all()) {
-    if (record.state != proto::JobState::kQueued &&
-        record.state != proto::JobState::kWaitingFiles) {
-      continue;
+  // Jobs need bytes, not digests: pin the new version for a waiting job
+  // whenever the cache will not hold its bytes.
+  const bool needed = needed_by_job(state.cache_key, m.new_version);
+  if (digests.has_value()) {
+    if (needed) {
+      // Materialize when the delta alone (all literals), the resident base
+      // bytes or a pinned base allow it; otherwise the scheduler issues a
+      // materialize pull for full content. Advancing an earlier pin beats
+      // re-pulling the whole file when edits race the job.
+      // With copies the arm has already checked `held` is the base.
+      const cdc::CdcDelta& d = delta.cdc;
+      auto pin = pinned_.find(state.cache_key);
+      const std::string* base =
+          !d.has_copies()      ? &kNoBase
+          : held->has_bytes()  ? &held->content
+          : pin != pinned_.end() && pin->second.version == m.base_version
+              ? &pin->second.content
+              : nullptr;
+      if (base != nullptr) {
+        auto bytes = d.apply(*base);
+        if (bytes.ok()) {
+          pinned_[state.cache_key] =
+              PinnedFile{m.new_version, std::move(bytes).take()};
+        }
+      }
     }
-    for (const auto& ref : record.files) {
-      if (domains_.cache_key(ref.file) == state.cache_key &&
-          m.new_version >= ref.version) {
-        needed_by_job = true;
+  } else if (held != nullptr && !held->has_bytes()) {
+    // A CDC-tracked file stays digest-only even when full content arrives
+    // (a materialize pull for a job, or a full re-pull): the server
+    // re-digests and keeps O(digests) resident; the bytes go to the job
+    // pin, never the cache.
+    digests = cdc::signature_of(content, held->signature.params.valid()
+                                             ? held->signature.params
+                                             : cdc::ChunkerParams{});
+    if (needed) {
+      pinned_[state.cache_key] = PinnedFile{m.new_version, std::move(content)};
+    }
+  }
+
+  // One journal record; replay_record reads the digests or the bytes
+  // between the same header and trailer.
+  persist::RecordType type = persist::RecordType::kShadowCached;
+  const char* outcome = "cached ";
+  BufWriter body;
+  state.id.encode(body);
+  body.put_string(state.cache_key);
+  body.put_varint(m.new_version);
+  body.put_u32(crc);
+  if (digests.has_value()) {
+    type = persist::RecordType::kShadowDigest;
+    outcome = "digest ";
+    digests->encode(body);
+    (void)cache_.put_digest(state.cache_key, m.new_version,
+                            std::move(*digests), crc);
+  } else {
+    body.put_string(content);
+    if (!cache_.put(state.cache_key, m.new_version, content, crc).ok()) {
+      outcome = "cache refused ";
+      if (needed) {
+        pinned_[state.cache_key] = PinnedFile{m.new_version, std::move(content)};
       }
     }
   }
-  // A CDC-tracked file stays digest-only even when full content arrives
-  // (a materialize pull for a job, or a full-transfer fallback): the
-  // server re-digests and keeps O(digests) resident; the bytes go to the
-  // job pin, never the cache.
-  const cache::CacheEntry* existing = cache_.peek(state.cache_key);
-  if (existing != nullptr && !existing->has_bytes()) {
-    const cdc::ChunkerParams params = existing->signature.params.valid()
-                                          ? existing->signature.params
-                                          : cdc::ChunkerParams{};
-    cdc::Signature sig = cdc::signature_of(content, params);
-    Bytes body = digest_record_body(state, m.new_version, content_crc, sig);
-    if (needed_by_job) {
-      pinned_[state.cache_key] = PinnedFile{m.new_version, content};
-    }
-    (void)cache_.put_digest(state.cache_key, m.new_version, std::move(sig),
-                            content_crc);
-    record_event(telemetry::EventKind::kCache,
-                 "re-digested " + state.cache_key + " v" +
-                     std::to_string(m.new_version) + " (" +
-                     std::to_string(content.size()) + " bytes)");
-    persist_append_then(
-        persist::RecordType::kShadowDigest, std::move(body),
-        [this, conn, client = conn->client_name, file = m.file,
-         version = m.new_version] {
-          proto::UpdateAck ack;
-          ack.file = file;
-          ack.version = version;
-          ack.ok = true;
-          send_if_attached(conn, client, ack);
-          drain_deferred_pulls();
-          schedule_jobs();
-        });
-    return;
-  }
-
-  Status put =
-      cache_.put(state.cache_key, m.new_version, content, content_crc);
-  if (!put.ok() && needed_by_job) {
-    pinned_[state.cache_key] = PinnedFile{m.new_version, content};
-  }
+  body.put_string(state.owner_client);
   record_event(telemetry::EventKind::kCache,
-               (put.ok() ? "cached " : "cache refused ") + state.cache_key +
-                   " v" + std::to_string(m.new_version) + " (" +
-                   std::to_string(content.size()) + " bytes)");
+               outcome + state.cache_key + " v" +
+                   std::to_string(m.new_version) + " (" +
+                   std::to_string(size) + " bytes)");
+  ++stats_.updates_applied;
 
   // The write-ahead rule: the ack below is a durability promise, so the
   // record must hit the journal (and survive its fsync) first. A refused
   // append means no ack — the client keeps the version and re-offers it
   // after reconnecting. The record is written now; the continuation waits
   // for the fsync that ends this loop pass.
-  persist_append_then(
-      persist::RecordType::kShadowCached,
-      cached_record_body(state, m.new_version, content_crc, content),
-      [this, conn, client = conn->client_name, file = m.file,
-       version = m.new_version] {
-        proto::UpdateAck ack;
-        ack.file = file;
-        ack.version = version;
-        ack.ok = true;
-        send_if_attached(conn, client, ack);
-        drain_deferred_pulls();
-        schedule_jobs();
-      });
-}
-
-void ShadowServer::handle_cdc_update(Connection* conn, const proto::Update& m,
-                                     FileState& state,
-                                     const diff::Delta& delta) {
-  ++stats_.delta_transfers;
-  ++stats_.cdc_transfers;
-  const cdc::CdcDelta& d = delta.cdc;
-
-  // Resolve the base signature the copy ops reference. A digest entry IS
-  // the signature; a content entry is chunked on the fly (the transition
-  // put: from here on the file is digest-tracked); no copies need no base.
-  const cache::CacheEntry* entry = cache_.peek(state.cache_key);
-  cdc::Signature base_sig;
-  base_sig.params = d.params;
-  if (d.has_copies()) {
-    if (entry == nullptr || entry->version != m.base_version) {
-      // Best-effort cache lost the base (or holds the wrong one).
-      SHADOW_DEBUG() << config_.name << ": cdc base v" << m.base_version
-                     << " unavailable for " << m.file.display()
-                     << "; re-pulling full";
-      repull_full(conn, state, m);
-      return;
-    }
-    base_sig = entry->has_bytes()
-                   ? cdc::signature_of(entry->content, d.params)
-                   : entry->signature;
-  }
-
-  // Advance digests only: copies are membership-checked against the base
-  // signature, literals are digested, and the composed whole-file CRC
-  // must match the sender's target CRC (the digest-mode verified apply).
-  auto advanced = d.signature_after(base_sig);
-  if (!advanced.ok()) {
-    ++stats_.digest_advance_failures;
-    repull_full(conn, state, m);
-    return;
-  }
-  ++stats_.digest_advances;
-  const u32 content_crc = d.target_crc;
-
-  // Same notify-CRC cross-check as the content path, one shot only (the
-  // recorded crc may itself be the damaged half).
-  if (m.new_version == state.latest_known && state.latest_crc != 0 &&
-      content_crc != state.latest_crc) {
-    state.latest_crc = 0;
-    proto::UpdateAck nack;
-    nack.file = m.file;
-    nack.version = m.new_version;
-    nack.ok = false;
-    nack.error = "content crc mismatch";
-    send(conn, nack);
-    return;
-  }
-  if (m.new_version > state.latest_known) {
-    state.latest_known = m.new_version;
-    state.latest_size = d.target_bytes;
-    state.latest_crc = content_crc;
-  }
-
-  // Jobs need bytes, not digests. Materialize a pin when the delta alone
-  // (all literals) or the resident base content allows it; otherwise the
-  // scheduler issues a materialize pull for full content.
-  bool needed_by_job = false;
-  for (const auto& [id, record] : queue_.all()) {
-    if (record.state != proto::JobState::kQueued &&
-        record.state != proto::JobState::kWaitingFiles) {
-      continue;
-    }
-    for (const auto& ref : record.files) {
-      if (domains_.cache_key(ref.file) == state.cache_key &&
-          m.new_version >= ref.version) {
-        needed_by_job = true;
-      }
-    }
-  }
-  if (needed_by_job) {
-    Result<std::string> bytes =
-        Error{ErrorCode::kCacheMiss, "no bytes resident"};
-    if (!d.has_copies()) {
-      bytes = d.apply(std::string_view());
-    } else if (entry != nullptr && entry->has_bytes() &&
-               entry->version == m.base_version) {
-      bytes = d.apply(entry->content);
-    } else {
-      // An earlier materialize pull may have pinned the base bytes for a
-      // job still in the queue; advancing the pin with the delta beats
-      // re-pulling the whole file when edits race the job.
-      auto pin = pinned_.find(state.cache_key);
-      if (pin != pinned_.end() && pin->second.version == m.base_version) {
-        bytes = d.apply(pin->second.content);
-      }
-    }
-    if (bytes.ok()) {
-      pinned_[state.cache_key] =
-          PinnedFile{m.new_version, std::move(bytes).take()};
-    }
-  }
-
-  cdc::Signature sig = std::move(advanced).take();
-  Bytes body = digest_record_body(state, m.new_version, content_crc, sig);
-  (void)cache_.put_digest(state.cache_key, m.new_version, std::move(sig),
-                          content_crc);
-  record_event(telemetry::EventKind::kCache,
-               "digest " + state.cache_key + " v" +
-                   std::to_string(m.new_version) + " (" +
-                   std::to_string(d.target_bytes) + " bytes described)");
-
-  // Write-ahead rule, unchanged: the ack promises durability of the
-  // digest record, so it waits for the journal fsync.
-  persist_append_then(
-      persist::RecordType::kShadowDigest, std::move(body),
-      [this, conn, client = conn->client_name, file = m.file,
-       version = m.new_version] {
-        proto::UpdateAck ack;
-        ack.file = file;
-        ack.version = version;
-        ack.ok = true;
-        send_if_attached(conn, client, ack);
-        drain_deferred_pulls();
-        schedule_jobs();
-      });
+  persist_append_then(type, body.take(),
+                      [this, conn, client = conn->client_name, file = m.file,
+                       version = m.new_version] {
+                        proto::UpdateAck ack;
+                        ack.file = file;
+                        ack.version = version;
+                        ack.ok = true;
+                        send_if_attached(conn, client, ack);
+                        drain_deferred_pulls();
+                        schedule_jobs();
+                      });
 }
 
 void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
@@ -1361,7 +1240,7 @@ std::string ShadowServer::job_signature(const job::JobRecord& record) {
   return sig;
 }
 
-void ShadowServer::deliver_output(job::JobRecord& record) {
+void ShadowServer::deliver_output(job::JobRecord& record, bool full) {
   const std::string route = record.output_route.empty()
                                 ? record.client_name
                                 : record.output_route;
@@ -1376,8 +1255,11 @@ void ShadowServer::deliver_output(job::JobRecord& record) {
   // Reverse shadow processing (§8.3): delta against the previous output of
   // the same job. Only applicable when output goes back to the same place.
   diff::Delta output_delta = diff::Delta::make_full(record.output_content);
-  const std::string sig = job_signature(record);
-  if (config_.reverse_shadow) {
+  if (config_.reverse_shadow && full) {
+    auto it = output_cache_.find(job_signature(record));
+    if (it != output_cache_.end()) out.output_generation = it->second.generation;
+  } else if (config_.reverse_shadow) {
+    const std::string sig = job_signature(record);
     auto prev = output_cache_.find(sig);
     if (prev != output_cache_.end()) {
       output_delta =
@@ -1402,13 +1284,9 @@ void ShadowServer::deliver_output(job::JobRecord& record) {
                         nullptr);
   }
 
-  BufWriter w;
-  output_delta.encode(w);
-  out.output_payload = compress::compress(w.take(), config_.output_codec);
-
-  BufWriter ew;
-  diff::Delta::make_full(record.error_content).encode(ew);
-  out.error_payload = compress::compress(ew.take(), config_.output_codec);
+  out.output_payload = proto::pack_payload(output_delta, config_.output_codec);
+  out.error_payload = proto::pack_payload(
+      diff::Delta::make_full(record.error_content), config_.output_codec);
 
   ++stats_.outputs_sent;
   stats_.output_bytes += out.output_payload.size() + out.error_payload.size();
@@ -1456,28 +1334,7 @@ void ShadowServer::handle(Connection* conn, const proto::JobOutputAck& m) {
   SHADOW_DEBUG() << config_.name << ": client " << conn->client_name
                  << " nacked output of job " << m.job_id
                  << " (" << m.error << "); resending full";
-  proto::JobOutput out;
-  out.job_id = record.job_id;
-  out.client_job_token = record.client_job_token;
-  out.exit_code = record.exit_code;
-  out.output_name = record.output_name;
-  out.error_name = record.error_name;
-  if (config_.reverse_shadow) {
-    auto it = output_cache_.find(job_signature(record));
-    if (it != output_cache_.end()) out.output_generation = it->second.generation;
-  }
-  BufWriter w;
-  diff::Delta::make_full(record.output_content).encode(w);
-  out.output_payload = compress::compress(w.take(), config_.output_codec);
-  BufWriter ew;
-  diff::Delta::make_full(record.error_content).encode(ew);
-  out.error_payload = compress::compress(ew.take(), config_.output_codec);
-  ++stats_.outputs_sent;
-  stats_.output_bytes += out.output_payload.size() + out.error_payload.size();
-  const std::string route = record.output_route.empty()
-                                ? record.client_name
-                                : record.output_route;
-  send_to(route, out);
+  deliver_output(record, /*full=*/true);
 }
 
 void ShadowServer::handle(Connection* conn, const proto::AdminQuery& m) {
@@ -1872,40 +1729,12 @@ void ShadowServer::sync_telemetry() const {
   const std::string& p = config_.telemetry_prefix;
   // store(), not add(): these counters MIRROR the authoritative ServerStats
   // accumulators, so re-syncing is idempotent.
-  r.counter(p + "server.notifies_received").store(stats_.notifies_received);
-  r.counter(p + "server.pulls_sent").store(stats_.pulls_sent);
-  r.counter(p + "server.pulls_deferred").store(stats_.pulls_deferred);
-  r.counter(p + "server.updates_received").store(stats_.updates_received);
-  r.counter(p + "server.update_bytes").store(stats_.update_bytes);
-  r.counter(p + "server.full_transfers").store(stats_.full_transfers);
-  r.counter(p + "server.delta_transfers").store(stats_.delta_transfers);
-  r.counter(p + "server.jobs_submitted").store(stats_.jobs_submitted);
-  r.counter(p + "server.jobs_rejected").store(stats_.jobs_rejected);
-  r.counter(p + "server.jobs_completed").store(stats_.jobs_completed);
-  r.counter(p + "server.jobs_failed").store(stats_.jobs_failed);
-  r.counter(p + "server.outputs_sent").store(stats_.outputs_sent);
-  r.counter(p + "server.output_bytes").store(stats_.output_bytes);
-  r.counter(p + "server.output_delta_hits").store(stats_.output_delta_hits);
-  r.counter(p + "server.unsolicited_updates")
-      .store(stats_.unsolicited_updates);
-  r.counter(p + "server.deferred_by_load").store(stats_.deferred_by_load);
-  r.counter(p + "server.session_resyncs").store(stats_.session_resyncs);
-  r.counter(p + "server.journal_appends").store(stats_.journal_appends);
-  r.counter(p + "server.journal_failures").store(stats_.journal_failures);
-  r.counter(p + "server.acks_deferred").store(stats_.acks_deferred);
-  r.counter(p + "server.persist_flushes").store(stats_.persist_flushes);
-  r.counter(p + "server.compactions").store(stats_.compactions);
-  r.counter(p + "server.recovered_records").store(stats_.recovered_records);
-  r.counter(p + "server.requeued_jobs").store(stats_.requeued_jobs);
-  r.counter(p + "server.retry_capped_jobs").store(stats_.retry_capped_jobs);
+  for (const auto& f : kServerStatNames) {
+    r.counter(p + f.name).store(stats_.*f.field);
+  }
 
-  // CDC digest tracking (docs/DELTAS.md): how many transfers arrived as
-  // chunk deltas, whether the server could advance its signature without
-  // the bytes, and what the digest-only entries cost vs represent.
-  r.counter(p + "server.cdc_transfers").store(stats_.cdc_transfers);
-  r.counter(p + "server.digest_advances").store(stats_.digest_advances);
-  r.counter(p + "server.digest_advance_failures")
-      .store(stats_.digest_advance_failures);
+  // CDC digest residency (docs/DELTAS.md): what the digest-only entries
+  // cost vs represent.
   const auto digests = cache_.digest_stats();
   r.gauge(p + "server.digest_entries")
       .set(static_cast<double>(digests.entries));
@@ -1914,14 +1743,7 @@ void ShadowServer::sync_telemetry() const {
   r.gauge(p + "server.digest_represented_bytes")
       .set(static_cast<double>(digests.represented_bytes));
 
-  // Overload control & leases (docs/OPERATIONS.md): how much work the
-  // server is refusing, and why.
-  r.counter(p + "overload.busy_rejects").store(stats_.busy_rejects);
-  r.counter(p + "overload.conns_dropped")
-      .store(stats_.conns_dropped_overflow);
-  r.counter(p + "overload.drain_notices").store(stats_.drain_notices);
-  r.counter(p + "lease.expired").store(stats_.leases_expired);
-  r.counter(p + "lease.heartbeats").store(stats_.heartbeats_received);
+  // Overload control & leases (docs/OPERATIONS.md).
   r.gauge(p + "overload.queued_bytes")
       .set(static_cast<double>(total_queued_bytes()));
   r.gauge(p + "overload.draining").set(draining_ ? 1.0 : 0.0);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -105,6 +106,8 @@ struct ServerStats {
   u64 pulls_sent = 0;
   u64 pulls_deferred = 0;   // postponed by flow control
   u64 updates_received = 0;
+  u64 updates_applied = 0;  // Updates that reached the cache write
+  u64 full_repulls = 0;     // Updates answered with a full re-pull
   u64 update_bytes = 0;     // Update payload bytes received
   u64 full_transfers = 0;   // updates that carried full content
   u64 delta_transfers = 0;  // updates that carried a delta
@@ -135,6 +138,60 @@ struct ServerStats {
   u64 heartbeats_received = 0;   // explicit lease renewals
   u64 drain_notices = 0;         // ServerBusy(draining) sent at drain
 };
+
+/// Every ServerStats field with the telemetry name it is mirrored under.
+/// The one list that mirroring (sync_telemetry) and summing (shards,
+/// scenario reports) loop over, so a new field cannot be half-wired.
+struct ServerStatName {
+  const char* name;
+  u64 ServerStats::*field;
+};
+inline constexpr ServerStatName kServerStatNames[] = {
+    {"server.notifies_received", &ServerStats::notifies_received},
+    {"server.pulls_sent", &ServerStats::pulls_sent},
+    {"server.pulls_deferred", &ServerStats::pulls_deferred},
+    {"server.updates_received", &ServerStats::updates_received},
+    {"server.updates_applied", &ServerStats::updates_applied},
+    {"server.full_repulls", &ServerStats::full_repulls},
+    {"server.update_bytes", &ServerStats::update_bytes},
+    {"server.full_transfers", &ServerStats::full_transfers},
+    {"server.delta_transfers", &ServerStats::delta_transfers},
+    {"server.cdc_transfers", &ServerStats::cdc_transfers},
+    {"server.digest_advances", &ServerStats::digest_advances},
+    {"server.digest_advance_failures", &ServerStats::digest_advance_failures},
+    {"server.jobs_submitted", &ServerStats::jobs_submitted},
+    {"server.jobs_rejected", &ServerStats::jobs_rejected},
+    {"server.jobs_completed", &ServerStats::jobs_completed},
+    {"server.jobs_failed", &ServerStats::jobs_failed},
+    {"server.outputs_sent", &ServerStats::outputs_sent},
+    {"server.output_bytes", &ServerStats::output_bytes},
+    {"server.output_delta_hits", &ServerStats::output_delta_hits},
+    {"server.unsolicited_updates", &ServerStats::unsolicited_updates},
+    {"server.deferred_by_load", &ServerStats::deferred_by_load},
+    {"server.session_resyncs", &ServerStats::session_resyncs},
+    {"server.journal_appends", &ServerStats::journal_appends},
+    {"server.journal_failures", &ServerStats::journal_failures},
+    {"server.acks_deferred", &ServerStats::acks_deferred},
+    {"server.persist_flushes", &ServerStats::persist_flushes},
+    {"server.compactions", &ServerStats::compactions},
+    {"server.recovered_records", &ServerStats::recovered_records},
+    {"server.requeued_jobs", &ServerStats::requeued_jobs},
+    {"server.retry_capped_jobs", &ServerStats::retry_capped_jobs},
+    {"overload.busy_rejects", &ServerStats::busy_rejects},
+    {"overload.conns_dropped", &ServerStats::conns_dropped_overflow},
+    {"overload.drain_notices", &ServerStats::drain_notices},
+    {"lease.expired", &ServerStats::leases_expired},
+    {"lease.heartbeats", &ServerStats::heartbeats_received},
+};
+
+static_assert(sizeof(ServerStats) ==
+                  sizeof(u64) * std::size(kServerStatNames),
+              "every ServerStats field needs a kServerStatNames entry");
+
+inline ServerStats& operator+=(ServerStats& total, const ServerStats& s) {
+  for (const auto& f : kServerStatNames) total.*f.field += s.*f.field;
+  return total;
+}
 
 class ShadowServer {
  public:
@@ -297,11 +354,11 @@ class ShadowServer {
   void on_message(Connection* conn, Bytes wire);
   void handle(Connection* conn, const proto::Hello& m);
   void handle(Connection* conn, const proto::NotifyNewVersion& m);
+  /// Unpack, then one of two arms makes the new version: the content arm
+  /// applies the delta to cached bytes, the CDC arm advances the cached
+  /// chunk digests (docs/DELTAS.md). One shared tail caches, journals and
+  /// acks it. Any failure ends in repull_full().
   void handle(Connection* conn, const proto::Update& m);
-  /// The digest-only arm of handle(Update): advance the file's signature
-  /// from a CDC delta without materializing content (docs/DELTAS.md).
-  void handle_cdc_update(Connection* conn, const proto::Update& m,
-                         FileState& state, const diff::Delta& delta);
   void handle(Connection* conn, const proto::SubmitJob& m);
   void handle(Connection* conn, const proto::StatusQuery& m);
   void handle(Connection* conn, const proto::JobOutputAck& m);
@@ -325,16 +382,23 @@ class ShadowServer {
   void take_pull_slot(FileState& state, u64 version);
   void release_pull_slot(FileState& state);
   /// Answer update `m` with a pull for its version in full (§5.1): the
-  /// cached base is missing or unusable. No ack — the re-pull supersedes.
+  /// server cannot use what it received or what it holds. No ack — the
+  /// re-pull supersedes. Counted and recorded as a kCache event with `why`.
   void repull_full(Connection* conn, FileState& state,
-                   const proto::Update& m);
+                   const proto::Update& m, const std::string& why);
+  /// True if a queued or waiting job needs `version` (or older) of the
+  /// file cached under `cache_key`.
+  bool needed_by_job(const std::string& cache_key, u64 version);
 
   /// Move jobs forward: pull missing files, start runnable jobs.
   void schedule_jobs();
   bool files_ready(const job::JobRecord& record) const;
   void start_job(job::JobRecord& record);
   void finish_job(u64 job_id, job::ExecutionResult result);
-  void deliver_output(job::JobRecord& record);
+  /// Send a finished job's output. `full` re-sends the current output
+  /// generation as full content (the client could not apply a delta);
+  /// otherwise a reverse-shadow delta may ship and the generation advances.
+  void deliver_output(job::JobRecord& record, bool full = false);
 
   /// Reverse-shadow signature: identifies "the same job" across re-runs.
   static std::string job_signature(const job::JobRecord& record);
@@ -380,11 +444,7 @@ class ShadowServer {
   /// (deferred acks may outlive a detach).
   void send_if_attached(Connection* conn, const std::string& client_name,
                         const proto::Message& m);
-  /// Journal bodies for the record types built in several places.
-  static Bytes cached_record_body(const FileState& state, u64 version,
-                                  u32 crc, const std::string& content);
-  static Bytes digest_record_body(const FileState& state, u64 version,
-                                  u32 crc, const cdc::Signature& signature);
+  /// Journal body of a finished (completed or failed) job record.
   static Bytes finished_record_body(const job::JobRecord& record);
   /// Non-gating eviction record (losing it costs a re-pull, not
   /// correctness).

@@ -11,41 +11,6 @@
 
 namespace shadow::server {
 
-namespace {
-void accumulate(ServerStats& total, const ServerStats& s) {
-  total.notifies_received += s.notifies_received;
-  total.pulls_sent += s.pulls_sent;
-  total.pulls_deferred += s.pulls_deferred;
-  total.updates_received += s.updates_received;
-  total.update_bytes += s.update_bytes;
-  total.full_transfers += s.full_transfers;
-  total.delta_transfers += s.delta_transfers;
-  total.jobs_submitted += s.jobs_submitted;
-  total.jobs_rejected += s.jobs_rejected;
-  total.jobs_completed += s.jobs_completed;
-  total.jobs_failed += s.jobs_failed;
-  total.outputs_sent += s.outputs_sent;
-  total.output_bytes += s.output_bytes;
-  total.output_delta_hits += s.output_delta_hits;
-  total.unsolicited_updates += s.unsolicited_updates;
-  total.deferred_by_load += s.deferred_by_load;
-  total.session_resyncs += s.session_resyncs;
-  total.journal_appends += s.journal_appends;
-  total.journal_failures += s.journal_failures;
-  total.acks_deferred += s.acks_deferred;
-  total.persist_flushes += s.persist_flushes;
-  total.compactions += s.compactions;
-  total.recovered_records += s.recovered_records;
-  total.requeued_jobs += s.requeued_jobs;
-  total.retry_capped_jobs += s.retry_capped_jobs;
-  total.busy_rejects += s.busy_rejects;
-  total.conns_dropped_overflow += s.conns_dropped_overflow;
-  total.leases_expired += s.leases_expired;
-  total.heartbeats_received += s.heartbeats_received;
-  total.drain_notices += s.drain_notices;
-}
-}  // namespace
-
 ShardedServer::ShardedServer(ServerConfig base, std::size_t shard_count,
                              std::vector<persist::DurableStore*> stores,
                              sim::Simulator* simulator)
@@ -383,7 +348,7 @@ ServerStats ShardedServer::aggregate_stats() {
     copies[i] = shards_[i]->stats();  // copied on shard i's own thread
   });
   ServerStats total;
-  for (const auto& s : copies) accumulate(total, s);
+  for (const auto& s : copies) total += s;
   return total;
 }
 
@@ -391,45 +356,33 @@ void ShardedServer::sync_telemetry() {
   // Each shard refreshes its shard<i>.-prefixed mirror on its own thread;
   // aggregate_stats() rides the same hop for the per-shard copies.
   std::vector<ServerStats> copies(shards_.size());
-  on_every_shard([this, &copies](std::size_t i) {
+  std::vector<cache::ShadowCache::DigestStats> digests(shards_.size());
+  on_every_shard([this, &copies, &digests](std::size_t i) {
     shards_[i]->sync_telemetry();
     copies[i] = shards_[i]->stats();
+    digests[i] = shards_[i]->file_cache().digest_stats();
   });
   ServerStats total;
-  for (const auto& s : copies) accumulate(total, s);
+  for (const auto& s : copies) total += s;
+  cache::ShadowCache::DigestStats digest_total;
+  for (const auto& d : digests) {
+    digest_total.entries += d.entries;
+    digest_total.resident_bytes += d.resident_bytes;
+    digest_total.represented_bytes += d.represented_bytes;
+  }
 
   auto& r = telemetry::Registry::global();
-  // The plain server.* names shadowtop has always shown now carry the
-  // fleet-wide sums; shard<i>.server.* has the per-shard breakdown.
-  r.counter("server.notifies_received").store(total.notifies_received);
-  r.counter("server.pulls_sent").store(total.pulls_sent);
-  r.counter("server.pulls_deferred").store(total.pulls_deferred);
-  r.counter("server.updates_received").store(total.updates_received);
-  r.counter("server.update_bytes").store(total.update_bytes);
-  r.counter("server.full_transfers").store(total.full_transfers);
-  r.counter("server.delta_transfers").store(total.delta_transfers);
-  r.counter("server.jobs_submitted").store(total.jobs_submitted);
-  r.counter("server.jobs_rejected").store(total.jobs_rejected);
-  r.counter("server.jobs_completed").store(total.jobs_completed);
-  r.counter("server.jobs_failed").store(total.jobs_failed);
-  r.counter("server.outputs_sent").store(total.outputs_sent);
-  r.counter("server.output_bytes").store(total.output_bytes);
-  r.counter("server.output_delta_hits").store(total.output_delta_hits);
-  r.counter("server.unsolicited_updates").store(total.unsolicited_updates);
-  r.counter("server.deferred_by_load").store(total.deferred_by_load);
-  r.counter("server.journal_appends").store(total.journal_appends);
-  r.counter("server.journal_failures").store(total.journal_failures);
-  r.counter("server.acks_deferred").store(total.acks_deferred);
-  r.counter("server.persist_flushes").store(total.persist_flushes);
-  r.counter("server.compactions").store(total.compactions);
-  r.counter("server.recovered_records").store(total.recovered_records);
-  r.counter("server.requeued_jobs").store(total.requeued_jobs);
-  r.counter("server.retry_capped_jobs").store(total.retry_capped_jobs);
-  r.counter("overload.busy_rejects").store(total.busy_rejects);
-  r.counter("overload.conns_dropped").store(total.conns_dropped_overflow);
-  r.counter("overload.drain_notices").store(total.drain_notices);
-  r.counter("lease.expired").store(total.leases_expired);
-  r.counter("lease.heartbeats").store(total.heartbeats_received);
+  // The plain names shadowtop has always shown now carry the fleet-wide
+  // sums; shard<i>.server.* has the per-shard breakdown.
+  for (const auto& f : kServerStatNames) {
+    r.counter(f.name).store(total.*f.field);
+  }
+  r.gauge("server.digest_entries")
+      .set(static_cast<double>(digest_total.entries));
+  r.gauge("server.digest_resident_bytes")
+      .set(static_cast<double>(digest_total.resident_bytes));
+  r.gauge("server.digest_represented_bytes")
+      .set(static_cast<double>(digest_total.represented_bytes));
   r.gauge("overload.draining").set(draining_ ? 1.0 : 0.0);
 
   r.gauge("shards.count").set(static_cast<double>(shards_.size()));

@@ -504,10 +504,8 @@ TEST(LegacyPeer, ServerNeverDigestTracksALegacyClientsFiles) {
   update.file = id;
   update.base_version = 0;
   update.new_version = 1;
-  BufWriter payload;
-  diff::Delta::make_full(blob).encode(payload);
-  update.payload = compress::compress(payload.take(),
-                                      compress::Codec::kStored);
+  update.payload = proto::pack_payload(diff::Delta::make_full(blob),
+                                       compress::Codec::kStored);
   ASSERT_TRUE(pair.a->send(proto::encode_message(update)).ok());
   net::pump(pair);
 

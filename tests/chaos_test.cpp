@@ -132,7 +132,7 @@ void expect_cdc_conformance(u64 seed) {
                   oracle.final_content.size()));
   EXPECT_EQ(oracle.server_described_bytes, oracle.final_content.size());
   EXPECT_GT(oracle.cdc_sent, 0u);
-  EXPECT_GT(oracle.cdc_transfers, 0u);
+  EXPECT_GT(oracle.server.cdc_transfers, 0u);
   ASSERT_FALSE(oracle.job_output.empty());
 
   core::ChaosOptions chaotic = base;
@@ -234,6 +234,9 @@ TEST(ChaosDesync, CorruptedDeltaPayloadFallsBackToFullTransfer) {
   // (§5.1: degrade to full-file copies, never to wrong content).
   EXPECT_EQ(server.stats().delta_transfers, 1u);  // attempted, failed closed
   EXPECT_EQ(server.stats().full_transfers, 2u);   // the fallback transfer
+  EXPECT_EQ(server.stats().full_repulls, 1u);
+  EXPECT_EQ(server.stats().updates_received,
+            server.stats().updates_applied + server.stats().full_repulls);
   naming::NameResolver resolver("net-chaos", &cluster);
   const auto id = resolver.resolve("ws", "/home/user/f").value();
   auto entry = server.file_cache().get(server.domains().cache_key(id));

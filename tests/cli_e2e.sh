@@ -87,5 +87,20 @@ kill "$DPID" 2>/dev/null
 wait "$DPID" 2>/dev/null
 rm -rf "$JOURNAL"
 
+# --- third phase: the same selftest against a two-shard daemon -----------
+# With more than one shard, only the facade writes the plain server.*
+# names the selftest checks.
+PORT5=$((20000 + RANDOM % 20000))
+"$BUILD_DIR/tools/shadowd" --port "$PORT5" --threads 2 > "$LOG" 2>&1 &
+DPID=$!
+for _ in $(seq 1 50); do
+  grep -q "listening" "$LOG" && break
+  sleep 0.1
+done
+TOP=$("$BUILD_DIR/tools/shadowtop" --connect "$PORT5" --selftest 2>&1) \
+  || topfail "shadowtop selftest failed against --threads 2"
+kill "$DPID" 2>/dev/null
+wait "$DPID" 2>/dev/null
+
 rm -f "$LOG"
 echo "PASS: cli end-to-end"

@@ -6,6 +6,7 @@
 #include "core/system.hpp"
 #include "core/workload.hpp"
 #include "net/loopback.hpp"
+#include "proto/messages.hpp"
 #include "server/shadow_server.hpp"
 
 namespace shadow::client {
@@ -122,6 +123,40 @@ TEST_F(ClientEdgeTest, OutputRouteToDisconnectedClientDoesNotWedge) {
   ASSERT_TRUE(token2.ok());
   net::pump(pair_);
   EXPECT_TRUE(client_->job_done(token2.value()));
+}
+
+// Servers built before the one-repair-path change nack an Update they
+// cannot use (UpdateAck ok=false) instead of re-pulling it. The client
+// must still answer that with a full resend of the version.
+TEST(ClientNackTest, OlderServerNackGetsFullResend) {
+  vfs::Cluster cluster;
+  (void)cluster.add_host("ws").mkdir_p("/home/user");
+  ShadowClient client("ws", ShadowEnvironment{}, &cluster, "net-1");
+  ShadowEditor editor(&client, &cluster);
+  auto pair = net::make_loopback_pair("ws", "old-super");
+  std::vector<proto::Update> updates;
+  pair.b->set_receiver([&](Bytes wire) {
+    auto m = proto::decode_message(wire);
+    if (m.ok() && std::holds_alternative<proto::Update>(m.value())) {
+      updates.push_back(std::get<proto::Update>(m.value()));
+    }
+  });
+  client.connect("old-super", pair.a.get());
+  ASSERT_TRUE(editor.create("/home/user/f", "first\n").ok());
+  ASSERT_TRUE(editor.create("/home/user/f", "second\n").ok());
+  const auto id = client.resolve_name("/home/user/f").value();
+  const proto::UpdateAck nack{id, 2, false, "content crc mismatch"};
+  ASSERT_TRUE(pair.b->send(proto::encode_message(nack)).ok());
+  net::pump(pair);
+
+  ASSERT_EQ(updates.size(), 1u);
+  EXPECT_EQ(updates[0].base_version, 0u);
+  EXPECT_EQ(updates[0].new_version, 2u);
+  EXPECT_EQ(proto::unpack_payload(updates[0].payload).value().apply("").value(),
+            "second\n");
+  EXPECT_EQ(client.stats().nack_full_resends, 1u);
+  const auto& chain = client.versions().chain(id.key());
+  EXPECT_TRUE(chain.has(1) && chain.has(2));  // nothing garbage-collected
 }
 
 }  // namespace

@@ -2,15 +2,21 @@
 // directly over loopback so individual messages can be forged.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <ostream>
 #include <set>
+#include <utility>
 
+#include "cdc/signature.hpp"
 #include "compress/compress.hpp"
 #include "diff/diff.hpp"
 #include "net/loopback.hpp"
 #include "proto/messages.hpp"
 #include "core/system.hpp"
+#include "core/workload.hpp"
 #include "server/shadow_server.hpp"
 #include "telemetry/registry.hpp"
+#include "util/crc32.hpp"
 
 namespace shadow::server {
 namespace {
@@ -25,9 +31,7 @@ naming::GlobalFileId file_id(u64 inode) {
 }
 
 Bytes pack_delta(const diff::Delta& delta) {
-  BufWriter w;
-  delta.encode(w);
-  return compress::compress(w.take(), compress::Codec::kStored);
+  return proto::pack_payload(delta, compress::Codec::kStored);
 }
 
 class ServerEdgeTest : public ::testing::Test {
@@ -101,44 +105,6 @@ TEST_F(ServerEdgeTest, StaleNotifyIgnored) {
   send(notify);
   pump();
   EXPECT_EQ(server_->stats().pulls_sent, 1u);
-}
-
-TEST_F(ServerEdgeTest, UndecodableUpdatePayloadNacked) {
-  proto::Update update;
-  update.file = file_id(1);
-  update.base_version = 0;
-  update.new_version = 1;
-  update.payload = {0xFF, 0xEE, 0xDD};  // not a compressed delta
-  send(update);
-  pump();
-  const auto* ack = last_of<proto::UpdateAck>();
-  ASSERT_NE(ack, nullptr);
-  EXPECT_FALSE(ack->ok);
-  EXPECT_EQ(server_->file_cache().entry_count(), 0u);
-}
-
-TEST_F(ServerEdgeTest, DeltaAgainstUncachedBaseTriggersFullRepull) {
-  proto::Update update;
-  update.file = file_id(1);
-  update.base_version = 3;  // server has nothing cached
-  update.new_version = 4;
-  // Big enough that the computed delta stays a delta (tiny inputs fall
-  // back to full-content format, which needs no base).
-  std::string base;
-  for (int i = 0; i < 50; ++i) base += "line " + std::to_string(i) + "\n";
-  std::string target = base;
-  target.replace(0, 4, "LINE");
-  const diff::Delta delta =
-      diff::Delta::compute(base, target, diff::Algorithm::kHuntMcIlroy);
-  ASSERT_TRUE(delta.needs_base());
-  update.payload = pack_delta(delta);
-  send(update);
-  pump();
-  const auto* pull = last_of<proto::PullRequest>();
-  ASSERT_NE(pull, nullptr);
-  EXPECT_EQ(pull->have_version, 0u);
-  EXPECT_EQ(pull->want_version, 4u);
-  EXPECT_EQ(server_->file_cache().entry_count(), 0u);
 }
 
 TEST_F(ServerEdgeTest, FullUpdateCachedAndAcked) {
@@ -343,6 +309,135 @@ TEST_F(ServerEdgeTest, ResaveDuringPullKeepsOnePullSlotPerFile) {
       telemetry::Registry::global().gauge("server.outstanding_pulls").value(),
       0.0);
 }
+
+// One row per way an Update can be unusable. The server answers each with
+// exactly one full re-pull: no UpdateAck, the cache untouched, one
+// counted repair and one event that names the reason.
+struct RepairRow {
+  std::string name;
+  proto::Update update;
+  std::string reason;       // the re-pull event must contain this
+  std::string cached_base;  // non-empty: cached as v3 before the update
+  u32 notified_crc = 0;     // non-zero: announced for the update's version
+};
+
+void PrintTo(const RepairRow& row, std::ostream* os) { *os << row.name; }
+
+std::vector<RepairRow> repair_rows() {
+  const std::string base = core::make_file(2'000, 1);
+  const diff::Delta line_delta = diff::Delta::compute(
+      base, core::modify_percent(base, 5, 2), diff::Algorithm::kHuntMcIlroy);
+
+  const auto file = file_id(1);
+  std::vector<RepairRow> rows;
+  rows.push_back({"UndecodablePayload", {file, 0, 1, {0xFF, 0xEE, 0xDD}},
+                  "bad codec tag", "", 0});
+  diff::Delta damaged = diff::Delta::make_full("cached content\n");
+  damaged.full_crc ^= 1;  // bit flip inside the content survived decode
+  rows.push_back({"FullContentBadCrc", {file, 0, 1, pack_delta(damaged)},
+                  "full-content delta fails its CRC", "", 0});
+  rows.push_back({"LineDeltaNoBase", {file, 3, 4, pack_delta(line_delta)},
+                  "base v3 not cached", "", 0});
+  rows.push_back({"LineDeltaApplyFails", {file, 3, 4, pack_delta(line_delta)},
+                  "does not match script's old CRC",
+                  core::make_file(2'000, 3), 0});
+  const std::string content = "what the notify described\n";
+  const u32 content_crc =
+      crc32(reinterpret_cast<const u8*>(content.data()), content.size());
+  rows.push_back({"CrcDiffersFromNotify",
+                  {file, 0, 1, pack_delta(diff::Delta::make_full(content))},
+                  "content crc mismatch", "", content_crc ^ 1});
+  // Mostly unchanged big file, so the chunk delta copies base chunks.
+  const std::string big = core::make_file(100'000, 4);
+  const diff::Delta cdc_delta = diff::Delta::compute_cdc(
+      cdc::signature_of(big, cdc::ChunkerParams{}), "edited\n" + big);
+  rows.push_back({"CdcCopiesNoBase", {file, 3, 4, pack_delta(cdc_delta)},
+                  "cdc base v3 not cached", "", 0});
+  return rows;
+}
+
+class ServerRepairTest : public ServerEdgeTest,
+                         public ::testing::WithParamInterface<RepairRow> {
+ protected:
+  /// (version, crc) of the cached entry for file 1, or nullopt.
+  std::optional<std::pair<u64, u32>> cached() const {
+    const cache::CacheEntry* entry = server_->file_cache().peek(
+        server_->domains().cache_key(file_id(1)));
+    if (entry == nullptr) return std::nullopt;
+    return std::make_pair(entry->version, entry->crc);
+  }
+};
+
+TEST_P(ServerRepairTest, EndsInOneFullRepull) {
+  const RepairRow& row = GetParam();
+  const proto::Update& update = row.update;
+  if (update.base_version != 0) {
+    // A row that names a base must carry a delta that needs one.
+    ASSERT_TRUE(proto::unpack_payload(update.payload).value().needs_base());
+  }
+  if (!row.cached_base.empty()) {
+    send(proto::Update{update.file, 0, 3,
+                       pack_delta(diff::Delta::make_full(row.cached_base))});
+  }
+  if (row.notified_crc != 0) {
+    send(proto::NotifyNewVersion{update.file, update.new_version, 0,
+                                 row.notified_crc});
+  }
+  pump();
+  received_.clear();
+  const auto cache_before = cached();
+  const u64 events_before =
+      telemetry::Registry::global().events().total_recorded();
+
+  send(update);
+  pump();
+
+  std::vector<proto::PullRequest> pulls;
+  for (const auto& m : received_) {
+    EXPECT_EQ(std::get_if<proto::UpdateAck>(&m), nullptr) << "an ack was sent";
+    if (const auto* pull = std::get_if<proto::PullRequest>(&m)) {
+      pulls.push_back(*pull);
+    }
+  }
+  ASSERT_EQ(pulls.size(), 1u);
+  EXPECT_EQ(pulls[0].have_version, 0u);
+  EXPECT_EQ(pulls[0].want_version, update.new_version);
+  EXPECT_EQ(cached(), cache_before);
+  const ServerStats& stats = server_->stats();
+  EXPECT_EQ(stats.full_repulls, 1u);
+  EXPECT_EQ(stats.updates_received, stats.updates_applied + stats.full_repulls);
+  int repair_events = 0;
+  for (const auto& event : telemetry::Registry::global().events().recent()) {
+    if (event.seq <= events_before) continue;
+    if (event.detail.rfind("full re-pull", 0) != 0) continue;
+    ++repair_events;
+    EXPECT_EQ(event.kind, telemetry::EventKind::kCache);
+    EXPECT_NE(event.detail.find(row.reason), std::string::npos)
+        << event.detail;
+  }
+  EXPECT_EQ(repair_events, 1);
+
+  if (row.notified_crc != 0) {
+    // One shot: the notified CRC may be the damaged half, so the full copy
+    // the re-pull brings is accepted on its own CRC.
+    received_.clear();
+    send(update);
+    pump();
+    const auto* ack = last_of<proto::UpdateAck>();
+    ASSERT_NE(ack, nullptr);
+    EXPECT_TRUE(ack->ok);
+    EXPECT_EQ(ack->version, update.new_version);
+    ASSERT_TRUE(cached().has_value());
+    EXPECT_EQ(cached()->first, update.new_version);
+    EXPECT_EQ(server_->stats().full_repulls, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, ServerRepairTest, ::testing::ValuesIn(repair_rows()),
+    [](const ::testing::TestParamInfo<RepairRow>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace shadow::server

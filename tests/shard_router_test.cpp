@@ -110,12 +110,6 @@ TEST(ShardRouterTest, ZeroShardCountClampsToOne) {
 // Hello / NotifyNewVersion / Update in randomized interleavings, then
 // verify the single-owner invariant: every file id is known to AT MOST
 // one shard, and that shard is exactly ShardRouter::shard_of(id).
-Bytes full_update_payload(const std::string& content) {
-  BufWriter w;
-  diff::Delta::make_full(content).encode(w);
-  return compress::compress(w.take(), compress::Codec::kStored);
-}
-
 TEST(ShardDispatchSweep, NoFileEverReachesTwoShards) {
   for (u64 seed = 1; seed <= 100; ++seed) {
     Rng rng(seed * 2654435761ull + 17);
@@ -170,7 +164,8 @@ TEST(ShardDispatchSweep, NoFileEverReachesTwoShards) {
         update.file = id;
         update.base_version = 0;
         update.new_version = ++cl.version;
-        update.payload = full_update_payload(content);
+        update.payload = proto::pack_payload(diff::Delta::make_full(content),
+                                             compress::Codec::kStored);
         ASSERT_TRUE(
             cl.pair.a->send(proto::encode_message(update)).ok());
       }

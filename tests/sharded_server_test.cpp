@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "cdc/signature.hpp"
 #include "compress/compress.hpp"
 #include "diff/delta.hpp"
 #include "net/loopback.hpp"
@@ -33,12 +34,6 @@ naming::GlobalFileId file_id(const std::string& host, u64 inode) {
   id.path = "/work/f" + std::to_string(inode);
   id.inode = inode;
   return id;
-}
-
-Bytes full_payload(const std::string& content) {
-  BufWriter w;
-  diff::Delta::make_full(content).encode(w);
-  return compress::compress(w.take(), compress::Codec::kStored);
 }
 
 /// A synthetic workstation: loopback pair + decoded message log.
@@ -121,7 +116,9 @@ TEST(ShardedServerTest, UpdatesStayShardLocalAndAggregate) {
     update.file = file_id(clients[c]->name, 1);
     update.base_version = 0;
     update.new_version = 1;
-    update.payload = full_payload("file of " + clients[c]->name + "\n");
+    update.payload = proto::pack_payload(
+        diff::Delta::make_full("file of " + clients[c]->name + "\n"),
+        compress::Codec::kStored);
     clients[c]->send(update);
     const auto* ack = clients[c]->last_of<proto::UpdateAck>();
     ASSERT_NE(ack, nullptr);
@@ -177,7 +174,8 @@ TEST(ShardedServerTest, AdminQueryAnsweredWithoutHello) {
   update.file = file_id("ws0", 3);
   update.base_version = 0;
   update.new_version = 1;
-  update.payload = full_payload("telemetry fodder\n");
+  update.payload = proto::pack_payload(
+      diff::Delta::make_full("telemetry fodder\n"), compress::Codec::kStored);
   editor.send(update);
 
   // shadowtop's opening move: AdminQuery with no Hello. The connection
@@ -223,6 +221,36 @@ TEST(ShardedServerTest, AdminQueryAnsweredWithoutHello) {
   EXPECT_EQ(replies.size(), 2u);
 }
 
+// Every ServerStats field reaches the aggregate and the plain telemetry
+// name, CDC counters included: with more than one shard only the facade
+// writes the unprefixed names shadowtop checks.
+TEST(ShardedServerTest, CdcCountersReachAggregateAndPlainNames) {
+  ServerConfig config;
+  config.name = "super";
+  ShardedServer sharded(config, 2);
+  Client editor;
+  editor.name = "ws0";
+  editor.connect(sharded);
+  std::string base;
+  for (int i = 0; i < 4000; ++i) base += "line " + std::to_string(i) + "\n";
+  const diff::Delta cdc = diff::Delta::compute_cdc(
+      cdc::signature_of(base, cdc::ChunkerParams{}), "edited\n" + base);
+  ASSERT_EQ(cdc.format, diff::Delta::Format::kCdc);
+  const auto stored = compress::Codec::kStored;
+  editor.send(proto::Update{file_id("ws0", 5), 0, 1,
+                            proto::pack_payload(diff::Delta::make_full(base),
+                                                stored)});
+  editor.send(
+      proto::Update{file_id("ws0", 5), 1, 2, proto::pack_payload(cdc, stored)});
+
+  EXPECT_EQ(sharded.aggregate_stats().cdc_transfers, 1u);
+  sharded.sync_telemetry();
+  auto& reg = telemetry::Registry::global();
+  EXPECT_EQ(reg.counter("server.cdc_transfers").value(), 1u);
+  EXPECT_EQ(reg.counter("server.digest_advances").value(), 1u);
+  EXPECT_EQ(reg.gauge("server.digest_entries").value(), 1.0);
+}
+
 TEST(ShardedServerTest, PerShardJournalsRecoverIndependently) {
   std::vector<std::unique_ptr<persist::MemDir>> dirs;
   std::vector<std::unique_ptr<persist::DurableStore>> stores;
@@ -246,7 +274,9 @@ TEST(ShardedServerTest, PerShardJournalsRecoverIndependently) {
       update.file = file_id(client.name, 1);
       update.base_version = 0;
       update.new_version = 1;
-      update.payload = full_payload("durable " + client.name + "\n");
+      update.payload = proto::pack_payload(
+          diff::Delta::make_full("durable " + client.name + "\n"),
+          compress::Codec::kStored);
       client.send(update);
       (void)sharded.tick();  // the pass ends in the journal fsync
       net::pump(client.pair);

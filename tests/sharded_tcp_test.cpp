@@ -24,12 +24,6 @@ namespace {
 
 constexpr int kWaitRounds = 5000;  // x 1ms = 5s per wait
 
-Bytes full_payload(const std::string& content) {
-  BufWriter w;
-  diff::Delta::make_full(content).encode(w);
-  return compress::compress(w.take(), compress::Codec::kStored);
-}
-
 /// Acceptor thread: the same loop shadowd --threads N runs.
 class Acceptor {
  public:
@@ -112,8 +106,9 @@ void run_client(u16 port, int index, std::atomic<int>& failures) {
     update.file = id;
     update.base_version = 0;
     update.new_version = static_cast<u64>(v);
-    update.payload =
-        full_payload(name + " version " + std::to_string(v) + "\n");
+    update.payload = proto::pack_payload(
+        diff::Delta::make_full(name + " version " + std::to_string(v) + "\n"),
+        compress::Codec::kStored);
     if (!transport->send(proto::encode_message(update)).ok()) {
       ++failures;
       return;

@@ -163,12 +163,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SystemStress, ::testing::Range(0, 12));
 // (the *Stress* filter), so every cross-thread handoff in the
 // deferred-ack path gets raced for real.
 
-Bytes stress_full_payload(const std::string& content) {
-  BufWriter w;
-  diff::Delta::make_full(content).encode(w);
-  return compress::compress(w.take(), compress::Codec::kStored);
-}
-
 void run_group_commit_client(u16 port, int index,
                              std::atomic<int>& failures) {
   const std::string name = "gw" + std::to_string(index);
@@ -224,8 +218,9 @@ void run_group_commit_client(u16 port, int index,
     update.file = id;
     update.base_version = 0;
     update.new_version = static_cast<u64>(v);
-    update.payload =
-        stress_full_payload(name + " version " + std::to_string(v) + "\n");
+    update.payload = proto::pack_payload(
+        diff::Delta::make_full(name + " version " + std::to_string(v) + "\n"),
+        compress::Codec::kStored);
     if (!transport->send(proto::encode_message(update)).ok()) {
       ++failures;
       return;

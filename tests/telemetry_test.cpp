@@ -472,6 +472,10 @@ TEST(MetricsInvariants, HoldAcross100ChaosSeeds) {
     auto outcome = core::run_chaos_trial(options);
     if (outcome.converged) ++converged;
     expect_global_invariants(seed);
+    // Repair accounting: every Update is applied or re-pulled in full.
+    EXPECT_EQ(outcome.server.updates_received,
+              outcome.server.updates_applied + outcome.server.full_repulls)
+        << "seed " << seed;
   }
   // The sweep is about invariants, not convergence — but if (almost)
   // nothing converged the invariants were checked against empty runs.

@@ -22,14 +22,14 @@ namespace {
 
 void print_stats(const char* label, const core::ChaosOutcome& outcome) {
   std::printf(
-      "  %-8s converged=%d full=%llu delta=%llu nack_resends=%llu "
+      "  %-8s converged=%d full=%llu delta=%llu repulls=%llu "
       "resyncs=%llu/%llu faults=%llu/%llu retransmits=%llu/%llu\n",
       label, outcome.converged ? 1 : 0,
-      static_cast<unsigned long long>(outcome.full_transfers),
-      static_cast<unsigned long long>(outcome.delta_transfers),
-      static_cast<unsigned long long>(outcome.nack_full_resends),
+      static_cast<unsigned long long>(outcome.server.full_transfers),
+      static_cast<unsigned long long>(outcome.server.delta_transfers),
+      static_cast<unsigned long long>(outcome.server.full_repulls),
       static_cast<unsigned long long>(outcome.client_resyncs),
-      static_cast<unsigned long long>(outcome.server_resyncs),
+      static_cast<unsigned long long>(outcome.server.session_resyncs),
       static_cast<unsigned long long>(outcome.to_server_faults.injected()),
       static_cast<unsigned long long>(outcome.to_client_faults.injected()),
       static_cast<unsigned long long>(outcome.client_session.retransmits),
