@@ -3,8 +3,9 @@
 // in-memory storage model and the real filesystem with genuine fsyncs),
 // group commit vs sync-per-record acknowledgment throughput at 1/32/1024
 // simulated writers (the headline: one fsync amortized over a batch),
-// raw journal scanning, and full server recovery (snapshot restore +
-// journal replay + orphan requeue) as a function of journal length.
+// raw journal scanning, the snapshot writer (save_state) on a populated
+// server, and full server recovery (snapshot restore + journal replay +
+// orphan requeue) as a function of session length.
 // google-benchmark binary; exported to BENCH_persist.json by
 // bench/bench_to_json.sh.
 #include <benchmark/benchmark.h>
@@ -20,6 +21,7 @@
 #include "persist/durable_store.hpp"
 #include "persist/storage.hpp"
 #include "persist/wal.hpp"
+#include "server/journal_records.hpp"
 #include "server/shadow_server.hpp"
 #include "util/logging.hpp"
 #include "vfs/cluster.hpp"
@@ -32,11 +34,11 @@ using namespace shadow;
 // record type in an editing session.
 Bytes sample_body() {
   const std::string content = core::make_file(2'000, 9);
-  BufWriter w;
-  w.put_string("bench-domain/11");
-  w.put_varint(7);
-  w.put_string(content);
-  return w.take();
+  const naming::GlobalFileId id{"bench-domain", "ws", "/home/user/f", 11};
+  return server::journal::body_of(
+             server::journal::ShadowCached{
+                 {id, "bench-domain/11", 7, 0}, content, "ws"})
+      .bytes;
 }
 
 void BM_JournalAppendMem(benchmark::State& state) {
@@ -147,8 +149,11 @@ void BM_ReplayScan(benchmark::State& state) {
 }
 
 /// Populate a MemDir with the durable droppings of a real editing
-/// session: `edits` rounds of a client editing a 4 KB file against a
-/// journaling server.
+/// session: `edits` saves of 4 KB files round-robin over kSessionFiles,
+/// a `wc` job after every kSessionFiles saves, and one compaction half way
+/// through — so the disk holds a snapshot plus the journal written since.
+constexpr int kSessionFiles = 8;
+
 void populate_disk(persist::MemDir& disk, int edits) {
   persist::DurableStore store(&disk, /*compact_every=*/1u << 30);
   vfs::Cluster cluster;
@@ -164,31 +169,66 @@ void populate_disk(persist::MemDir& disk, int edits) {
   server.attach(pair.b.get());
   client.connect("super", pair.a.get());
   net::pump(pair);
-  std::string content = core::make_file(4'000, 17);
   auto settle = [&] {
     net::pump(pair);
     (void)server.pump_persist();  // where the shard loop's pass would end
     net::pump(pair);
   };
-  (void)editor.create("/home/user/f", content);
-  settle();
-  for (int i = 0; i < edits; ++i) {
-    content = core::modify_percent(content, 5.0, 1000 + i);
-    (void)editor.create("/home/user/f", content);
+  std::vector<std::string> contents;
+  for (int f = 0; f < kSessionFiles; ++f) {
+    contents.push_back(core::make_file(4'000, 17 + f));
+    (void)editor.create("/home/user/f" + std::to_string(f), contents.back());
     settle();
   }
+  for (int i = 0; i < edits; ++i) {
+    const int f = i % kSessionFiles;
+    const std::string path = "/home/user/f" + std::to_string(f);
+    contents[f] = core::modify_percent(contents[f], 5.0, 1000 + i);
+    (void)editor.create(path, contents[f]);
+    settle();
+    if (f == kSessionFiles - 1) {
+      client::ShadowClient::SubmitOptions job;
+      job.files = {path};
+      job.command_file = "wc f" + std::to_string(f) + "\n";
+      (void)client.submit(job);
+      settle();
+    }
+    if (i == edits / 2) (void)store.compact(server.save_state());
+  }
+}
+
+void BM_SaveState(benchmark::State& state) {
+  // The snapshot writer alone: the work compaction does inline between
+  // batches, on the state a session of range(0) saves left behind.
+  persist::MemDir disk;
+  populate_disk(disk, static_cast<int>(state.range(0)));
+  persist::DurableStore store(&disk, /*compact_every=*/1u << 30);
+  server::ServerConfig sc;
+  sc.name = "super";
+  server::ShadowServer server(sc, nullptr, &store);
+  (void)server.recover_from_storage();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const Bytes snapshot = server.save_state();
+    bytes = snapshot.size();
+    benchmark::DoNotOptimize(snapshot.data());
+  }
+  state.counters["snapshot_bytes"] =
+      benchmark::Counter(static_cast<double>(bytes));
 }
 
 void BM_ServerRecovery(benchmark::State& state) {
   // End-to-end recovery: construct a fresh server over the survived disk
-  // and replay it back to serving state. Recovery itself compacts (it
-  // folds the replay into a snapshot and truncates the journal), so the
-  // disk is restored between iterations — every iteration replays the
-  // same full journal.
+  // (a snapshot plus the journal written after it) and replay it back to
+  // serving state. Recovery itself compacts (it folds the replay into a
+  // snapshot and truncates the journal), so the disk is restored between
+  // iterations — every iteration replays the same snapshot and journal.
   persist::MemDir disk;
   populate_disk(disk, static_cast<int>(state.range(0)));
   const Bytes journal_image =
       disk.read(persist::DurableStore::kJournalName).value_or(Bytes{});
+  const Bytes snapshot_image =
+      disk.read(persist::DurableStore::kSnapshotName).value_or(Bytes{});
   u64 recovered = 0;
   for (auto _ : state) {
     persist::DurableStore store(&disk, /*compact_every=*/1u << 30);
@@ -200,13 +240,14 @@ void BM_ServerRecovery(benchmark::State& state) {
     state.PauseTiming();
     (void)disk.write_atomic(persist::DurableStore::kJournalName,
                             journal_image);
-    if (disk.exists(persist::DurableStore::kSnapshotName)) {
-      (void)disk.remove(persist::DurableStore::kSnapshotName);
-    }
+    (void)disk.write_atomic(persist::DurableStore::kSnapshotName,
+                            snapshot_image);
     state.ResumeTiming();
   }
   state.counters["records"] =
       benchmark::Counter(static_cast<double>(recovered));
+  state.counters["snapshot_bytes"] =
+      benchmark::Counter(static_cast<double>(snapshot_image.size()));
 }
 
 BENCHMARK(BM_JournalAppendMem);
@@ -214,6 +255,7 @@ BENCHMARK(BM_JournalAppendFs);
 BENCHMARK(BM_SyncPerRecordAcksFs)->Arg(1)->Arg(32)->Arg(1024);
 BENCHMARK(BM_GroupCommitAcksFs)->Arg(1)->Arg(32)->Arg(1024);
 BENCHMARK(BM_ReplayScan)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_SaveState)->Arg(16)->Arg(128)->Arg(512);
 BENCHMARK(BM_ServerRecovery)->Arg(16)->Arg(128)->Arg(512);
 
 }  // namespace

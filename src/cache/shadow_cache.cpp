@@ -1,5 +1,7 @@
 #include "cache/shadow_cache.hpp"
 
+#include <algorithm>
+
 #include "telemetry/registry.hpp"
 
 namespace shadow::cache {
@@ -234,65 +236,27 @@ void ShadowCache::clear() {
   bytes_used_ = 0;
 }
 
-void ShadowCache::encode(BufWriter& out) const {
-  out.put_varint(tick_);
-  out.put_varint(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    out.put_string(key);
-    out.put_varint(entry.version);
-    out.put_u32(entry.crc);
-    out.put_varint(entry.last_access);
-    out.put_varint(entry.inserted_at);
-    out.put_u8(static_cast<u8>(entry.kind));
-    if (entry.kind == EntryKind::kDigest) {
-      entry.signature.encode(out);
-    } else {
-      out.put_string(entry.content);
+std::vector<const CacheEntry*> ShadowCache::eviction_order() const {
+  std::vector<const CacheEntry*> order;
+  order.reserve(entries_.size());
+  for (const auto& [key, entry] : entries_) order.push_back(&entry);
+  // The policy's key, first victim first; the cache key breaks ties so
+  // the order (and a snapshot written in it) is deterministic.
+  auto rank = [this](const CacheEntry* e) -> u64 {
+    switch (policy_) {
+      case EvictionPolicy::kLru: return e->last_access;
+      case EvictionPolicy::kFifo: return e->inserted_at;
+      case EvictionPolicy::kLargestFirst: return ~u64{e->charge()};
     }
-  }
-}
-
-Status ShadowCache::restore(BufReader& in, bool with_kinds) {
-  clear();
-  SHADOW_ASSIGN_OR_RETURN(tick, in.get_varint());
-  SHADOW_ASSIGN_OR_RETURN(count, in.get_varint());
-  if (count > in.remaining()) {
-    return Error{ErrorCode::kProtocolError, "entry count exceeds data"};
-  }
-  tick_ = tick;
-  for (u64 i = 0; i < count; ++i) {
-    CacheEntry entry;
-    SHADOW_ASSIGN_OR_RETURN(key, in.get_string());
-    SHADOW_ASSIGN_OR_RETURN(version, in.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(crc, in.get_u32());
-    SHADOW_ASSIGN_OR_RETURN(last_access, in.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(inserted_at, in.get_varint());
-    entry.key = key;
-    entry.version = version;
-    entry.crc = crc;
-    entry.last_access = last_access;
-    entry.inserted_at = inserted_at;
-    u8 kind = static_cast<u8>(EntryKind::kContent);
-    if (with_kinds) {
-      SHADOW_ASSIGN_OR_RETURN(k, in.get_u8());
-      kind = k;
-    }
-    if (kind > static_cast<u8>(EntryKind::kDigest)) {
-      return Error{ErrorCode::kProtocolError, "bad cache entry kind"};
-    }
-    entry.kind = static_cast<EntryKind>(kind);
-    if (entry.kind == EntryKind::kDigest) {
-      SHADOW_ASSIGN_OR_RETURN(sig, cdc::Signature::decode(in));
-      entry.signature = std::move(sig);
-    } else {
-      SHADOW_ASSIGN_OR_RETURN(content, in.get_string());
-      entry.content = std::move(content);
-    }
-    bytes_used_ += entry.charge();
-    entries_.emplace(std::move(key), std::move(entry));
-  }
-  make_room(0);  // trim if the snapshot exceeds the configured budget
-  return Status();
+    return 0;
+  };
+  std::sort(order.begin(), order.end(),
+            [&rank](const CacheEntry* a, const CacheEntry* b) {
+              const u64 ra = rank(a);
+              const u64 rb = rank(b);
+              return ra != rb ? ra < rb : a->key < b->key;
+            });
+  return order;
 }
 
 void ShadowCache::set_byte_budget(u64 budget) {

@@ -12,9 +12,9 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "cdc/signature.hpp"
-#include "util/byte_io.hpp"
 #include "util/result.hpp"
 #include "util/types.hpp"
 
@@ -128,15 +128,11 @@ class ShadowCache {
   EvictionPolicy policy() const { return policy_; }
   const CacheStats& stats() const { return stats_; }
 
-  /// Checkpoint the cached CONTENT (entries + recency clock; statistics
-  /// and configuration are not part of the snapshot).
-  void encode(BufWriter& out) const;
-  /// Restore entries into this cache (replacing current content); the
-  /// budget/policy stay as configured, and an over-budget snapshot is
-  /// trimmed by the usual eviction. `with_kinds` is false when reading a
-  /// pre-CDC snapshot (server snapshot v3 and earlier): every entry is
-  /// then a content entry with no kind byte.
-  Status restore(BufReader& in, bool with_kinds = true);
+  /// Every entry, the policy's first victim first. Putting the entries
+  /// back in this order rebuilds the policy's ranking, and into a smaller
+  /// budget the puts' own eviction trims the same victims — the server
+  /// snapshot is written this way.
+  std::vector<const CacheEntry*> eviction_order() const;
 
  private:
   /// Pick the victim according to the policy; returns entries_.end() when

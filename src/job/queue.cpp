@@ -33,83 +33,6 @@ struct JobMetrics {
 };
 }  // namespace
 
-void encode_job_record(const JobRecord& job, BufWriter& out) {
-  out.put_varint(job.job_id);
-  out.put_string(job.client_name);
-  out.put_varint(job.client_job_token);
-  out.put_string(job.command_file);
-  out.put_varint(job.files.size());
-  for (const auto& ref : job.files) {
-    ref.file.encode(out);
-    out.put_string(ref.local_name);
-    out.put_varint(ref.version);
-    out.put_u32(ref.crc);
-  }
-  out.put_string(job.output_name);
-  out.put_string(job.error_name);
-  out.put_string(job.output_route);
-  out.put_u8(static_cast<u8>(job.state));
-  out.put_string(job.detail);
-  out.put_varint_signed(job.exit_code);
-  out.put_string(job.output_content);
-  out.put_string(job.error_content);
-  out.put_varint(job.cpu_cost);
-  out.put_varint(job.retries);
-}
-
-Result<JobRecord> decode_job_record(BufReader& in) {
-  JobRecord job;
-  SHADOW_ASSIGN_OR_RETURN(job_id, in.get_varint());
-  SHADOW_ASSIGN_OR_RETURN(client_name, in.get_string());
-  SHADOW_ASSIGN_OR_RETURN(token, in.get_varint());
-  SHADOW_ASSIGN_OR_RETURN(command_file, in.get_string());
-  SHADOW_ASSIGN_OR_RETURN(file_count, in.get_varint());
-  if (file_count > in.remaining()) {
-    return Error{ErrorCode::kProtocolError, "job file count exceeds data"};
-  }
-  job.job_id = job_id;
-  job.client_name = std::move(client_name);
-  job.client_job_token = token;
-  job.command_file = std::move(command_file);
-  for (u64 i = 0; i < file_count; ++i) {
-    proto::JobFileRef ref;
-    SHADOW_ASSIGN_OR_RETURN(file, naming::GlobalFileId::decode(in));
-    SHADOW_ASSIGN_OR_RETURN(local_name, in.get_string());
-    SHADOW_ASSIGN_OR_RETURN(version, in.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(crc, in.get_u32());
-    ref.file = std::move(file);
-    ref.local_name = std::move(local_name);
-    ref.version = version;
-    ref.crc = crc;
-    job.files.push_back(std::move(ref));
-  }
-  SHADOW_ASSIGN_OR_RETURN(output_name, in.get_string());
-  SHADOW_ASSIGN_OR_RETURN(error_name, in.get_string());
-  SHADOW_ASSIGN_OR_RETURN(output_route, in.get_string());
-  SHADOW_ASSIGN_OR_RETURN(state_raw, in.get_u8());
-  if (state_raw > static_cast<u8>(proto::JobState::kDelivered)) {
-    return Error{ErrorCode::kProtocolError,
-                 "bad job state: " + std::to_string(state_raw)};
-  }
-  SHADOW_ASSIGN_OR_RETURN(detail, in.get_string());
-  SHADOW_ASSIGN_OR_RETURN(exit_code, in.get_varint_signed());
-  SHADOW_ASSIGN_OR_RETURN(output_content, in.get_string());
-  SHADOW_ASSIGN_OR_RETURN(error_content, in.get_string());
-  SHADOW_ASSIGN_OR_RETURN(cpu_cost, in.get_varint());
-  SHADOW_ASSIGN_OR_RETURN(retries, in.get_varint());
-  job.output_name = std::move(output_name);
-  job.error_name = std::move(error_name);
-  job.output_route = std::move(output_route);
-  job.state = static_cast<proto::JobState>(state_raw);
-  job.detail = std::move(detail);
-  job.exit_code = static_cast<int>(exit_code);
-  job.output_content = std::move(output_content);
-  job.error_content = std::move(error_content);
-  job.cpu_cost = cpu_cost;
-  job.retries = retries;
-  return job;
-}
-
 u64 JobQueue::add(JobRecord record) {
   record.job_id = next_id_++;
   record.state = proto::JobState::kQueued;
@@ -215,29 +138,6 @@ Status JobQueue::requeue(u64 job_id, const std::string& detail) {
   JobMetrics::get().requeues.add();
   if (!detail.empty()) record->detail = detail;
   return Status();
-}
-
-void JobQueue::encode(BufWriter& out) const {
-  out.put_varint(next_id_);
-  out.put_varint(jobs_.size());
-  for (const auto& [id, job] : jobs_) encode_job_record(job, out);
-}
-
-Result<JobQueue> JobQueue::restore(BufReader& in) {
-  JobQueue queue;
-  SHADOW_ASSIGN_OR_RETURN(next_id, in.get_varint());
-  SHADOW_ASSIGN_OR_RETURN(count, in.get_varint());
-  if (count > in.remaining()) {
-    return Error{ErrorCode::kProtocolError, "job count exceeds data"};
-  }
-  queue.next_id_ = next_id == 0 ? 1 : next_id;
-  for (u64 i = 0; i < count; ++i) {
-    SHADOW_ASSIGN_OR_RETURN(job, decode_job_record(in));
-    const u64 id = job.job_id;
-    queue.jobs_.emplace(id, std::move(job));
-    if (id >= queue.next_id_) queue.next_id_ = id + 1;
-  }
-  return queue;
 }
 
 void JobQueue::restore_record(JobRecord job) {

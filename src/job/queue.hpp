@@ -50,12 +50,6 @@ struct JobRecord {
   u64 retries = 0;
 };
 
-/// Wire/journal codec for a full job record (everything except
-/// submitted_via, which is connection-scoped and meaningless after a
-/// restart).
-void encode_job_record(const JobRecord& job, BufWriter& out);
-Result<JobRecord> decode_job_record(BufReader& in);
-
 class JobQueue {
  public:
   /// Register a new job in kQueued state; returns its id.
@@ -90,12 +84,9 @@ class JobQueue {
   /// again. Bumps the retry counter.
   Status requeue(u64 job_id, const std::string& detail);
 
-  /// Snapshot codec: every record plus the id counter.
-  void encode(BufWriter& out) const;
-  static Result<JobQueue> restore(BufReader& in);
-
-  /// Journal replay: re-insert a job if (and only if) it is not already
-  /// present — records older than the snapshot replay as no-ops.
+  /// Replay (journal or snapshot): insert a job if (and only if) it is
+  /// not already present — records older than the snapshot replay as
+  /// no-ops — and move the id counter past it.
   void restore_record(JobRecord job);
 
  private:

@@ -35,57 +35,6 @@ std::string DomainDirectory::to_mapping_file() const {
   return out;
 }
 
-void DomainDirectory::encode(BufWriter& out) const {
-  out.put_varint(next_);
-  out.put_varint(forward_.size());
-  for (const auto& [key, sid] : forward_) {
-    out.put_string(key);
-    out.put_varint(sid);
-    auto d = display_.find(sid);
-    out.put_string(d == display_.end() ? "" : d->second);
-  }
-}
-
-Result<DomainDirectory> DomainDirectory::decode(BufReader& in) {
-  DomainDirectory dir;
-  SHADOW_ASSIGN_OR_RETURN(next, in.get_varint());
-  SHADOW_ASSIGN_OR_RETURN(count, in.get_varint());
-  if (count > in.remaining()) {
-    return Error{ErrorCode::kProtocolError, "mapping count exceeds data"};
-  }
-  dir.next_ = next;
-  for (u64 i = 0; i < count; ++i) {
-    SHADOW_ASSIGN_OR_RETURN(key, in.get_string());
-    SHADOW_ASSIGN_OR_RETURN(sid, in.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(display, in.get_string());
-    dir.forward_.emplace(std::move(key), sid);
-    if (!display.empty()) dir.display_.emplace(sid, std::move(display));
-  }
-  return dir;
-}
-
-void DomainMap::encode(BufWriter& out) const {
-  out.put_varint(domains_.size());
-  for (const auto& [id, dir] : domains_) {
-    out.put_string(id);
-    dir.encode(out);
-  }
-}
-
-Result<DomainMap> DomainMap::decode(BufReader& in) {
-  DomainMap map;
-  SHADOW_ASSIGN_OR_RETURN(count, in.get_varint());
-  if (count > in.remaining()) {
-    return Error{ErrorCode::kProtocolError, "domain count exceeds data"};
-  }
-  for (u64 i = 0; i < count; ++i) {
-    SHADOW_ASSIGN_OR_RETURN(id, in.get_string());
-    SHADOW_ASSIGN_OR_RETURN(dir, DomainDirectory::decode(in));
-    map.domains_.emplace(std::move(id), std::move(dir));
-  }
-  return map;
-}
-
 DomainDirectory& DomainMap::domain(const std::string& domain_id) {
   return domains_[domain_id];
 }
@@ -97,10 +46,6 @@ const DomainDirectory* DomainMap::find(const std::string& domain_id) const {
 
 std::string DomainMap::cache_key(const GlobalFileId& id) {
   return id.domain + "/" + std::to_string(domain(id.domain).intern(id));
-}
-
-void DomainMap::bind(const GlobalFileId& id, ShadowId sid) {
-  domain(id.domain).bind(id, sid);
 }
 
 }  // namespace shadow::naming

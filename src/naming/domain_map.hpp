@@ -36,9 +36,6 @@ class DomainDirectory {
   /// entry: "<shadow-id> <file-key> <display-path>").
   std::string to_mapping_file() const;
 
-  void encode(BufWriter& out) const;
-  static Result<DomainDirectory> decode(BufReader& in);
-
  private:
   std::map<std::string, ShadowId> forward_;  // file key -> shadow id
   std::map<ShadowId, std::string> display_;  // shadow id -> display name
@@ -55,13 +52,7 @@ class DomainMap {
   /// Globally usable cache key: "<domain>/<shadow-id>".
   std::string cache_key(const GlobalFileId& id);
 
-  /// Restore a mapping in the file's domain (journal replay).
-  void bind(const GlobalFileId& id, ShadowId sid);
-
   std::size_t domain_count() const { return domains_.size(); }
-
-  void encode(BufWriter& out) const;
-  static Result<DomainMap> decode(BufReader& in);
 
  private:
   std::map<std::string, DomainDirectory> domains_;

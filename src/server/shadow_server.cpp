@@ -62,7 +62,7 @@ void ShadowServer::mark_persist_dead(persist::RecordType type,
                 << persist::record_type_name(type) << "): " << st.to_string();
 }
 
-void ShadowServer::persist_append_then(persist::RecordType type, Bytes body,
+void ShadowServer::persist_append_then(journal::Body body,
                                        std::function<void()> on_durable) {
   if (store_ == nullptr) {
     if (on_durable) on_durable();
@@ -70,8 +70,10 @@ void ShadowServer::persist_append_then(persist::RecordType type, Bytes body,
   }
   if (persist_dead_) return;
   if (on_durable) ++stats_.acks_deferred;
+  const persist::RecordType type = body.type;
   (void)store_->append_deferred(
-      type, body, [this, type, cb = std::move(on_durable)](const Status& st) {
+      type, body.bytes,
+      [this, type, cb = std::move(on_durable)](const Status& st) {
         if (st.ok()) {
           ++stats_.journal_appends;
           if (cb) cb();
@@ -142,22 +144,9 @@ void ShadowServer::send_if_attached(Connection* conn,
   // re-offers after reconnecting, so dropping the ack is safe.
 }
 
-Bytes ShadowServer::finished_record_body(const job::JobRecord& record) {
-  BufWriter w;
-  w.put_varint(record.job_id);
-  w.put_u8(static_cast<u8>(record.state));
-  w.put_varint_signed(record.exit_code);
-  w.put_string(record.output_content);
-  w.put_string(record.error_content);
-  w.put_varint(record.cpu_cost);
-  w.put_string(record.detail);
-  return w.take();
-}
-
 void ShadowServer::persist_eviction(const std::string& cache_key) {
-  BufWriter w;
-  w.put_string(cache_key);
-  persist_append_then(persist::RecordType::kShadowEvicted, w.take(), nullptr);
+  persist_append_then(journal::body_of(journal::ShadowEvicted{cache_key}),
+                      nullptr);
 }
 
 bool ShadowServer::load_says_wait() {
@@ -877,23 +866,22 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
     }
   }
 
-  // One journal record; replay_record reads the digests or the bytes
-  // between the same header and trailer.
-  persist::RecordType type = persist::RecordType::kShadowCached;
+  // One journal record, encoded from the new version in place: the
+  // digests pass through the record into the cache, the bytes are read
+  // where they lie.
   const char* outcome = "cached ";
-  BufWriter body;
-  state.id.encode(body);
-  body.put_string(state.cache_key);
-  body.put_varint(m.new_version);
-  body.put_u32(crc);
+  journal::ShadowHeader head{state.id, state.cache_key, m.new_version, crc};
+  journal::Body body;
   if (digests.has_value()) {
-    type = persist::RecordType::kShadowDigest;
     outcome = "digest ";
-    digests->encode(body);
+    journal::ShadowDigest record{std::move(head), std::move(*digests),
+                                 state.owner_client};
+    body = journal::body_of(record);
     (void)cache_.put_digest(state.cache_key, m.new_version,
-                            std::move(*digests), crc);
+                            std::move(record.sig), crc);
   } else {
-    body.put_string(content);
+    body = journal::body_of(
+        journal::ShadowCached{std::move(head), content, state.owner_client});
     if (!cache_.put(state.cache_key, m.new_version, content, crc).ok()) {
       outcome = "cache refused ";
       if (needed) {
@@ -901,7 +889,6 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
       }
     }
   }
-  body.put_string(state.owner_client);
   record_event(telemetry::EventKind::kCache,
                outcome + state.cache_key + " v" +
                    std::to_string(m.new_version) + " (" +
@@ -913,7 +900,7 @@ void ShadowServer::handle(Connection* conn, const proto::Update& m) {
   // append means no ack — the client keeps the version and re-offers it
   // after reconnecting. The record is written now; the continuation waits
   // for the fsync that ends this loop pass.
-  persist_append_then(type, body.take(),
+  persist_append_then(std::move(body),
                       [this, conn, client = conn->client_name, file = m.file,
                        version = m.new_version] {
                         proto::UpdateAck ack;
@@ -1026,18 +1013,12 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
   // Journal the accepted job before the SubmitReply: an acked job id is a
   // promise that the job survives a server crash. If the record is never
   // durable there is no reply; the client resubmits after reconnect.
-  Bytes job_body;
-  {
-    auto added = queue_.find(job_id);
-    BufWriter w;
-    job::encode_job_record(*added.value(), w);
-    job_body = w.take();
-  }
+  journal::Body job_body = journal::body_of(*queue_.find(job_id).value());
   // Event details are one-line; keep only the command's first line.
   std::string command_head =
       m.command_file.substr(0, m.command_file.find('\n'));
   persist_append_then(
-      persist::RecordType::kJobSubmitted, std::move(job_body),
+      std::move(job_body),
       [this, conn, client = conn->client_name, job_id,
        token = m.client_job_token, command_head] {
         record_event(telemetry::EventKind::kJob,
@@ -1131,12 +1112,8 @@ void ShadowServer::start_job(job::JobRecord& record) {
                           "running");
   // Non-gating: losing this record just means the crash-recovered job
   // replays as still-queued and runs again from scratch.
-  {
-    BufWriter w;
-    w.put_varint(record.job_id);
-    persist_append_then(persist::RecordType::kJobStarted, w.take(),
-                        nullptr);
-  }
+  persist_append_then(journal::body_of(journal::JobStarted{record.job_id}),
+                      nullptr);
   ++running_jobs_;
   load_monitor_.set_demand(static_cast<double>(running_jobs_));
 
@@ -1197,11 +1174,14 @@ void ShadowServer::finish_job(u64 job_id, job::ExecutionResult result) {
   // JobOutputAck would otherwise mark delivered a result a crashed server
   // no longer has. The continuation re-finds the record — under group
   // commit it runs after this frame is long gone.
-  persist_append_then(persist::RecordType::kJobFinished,
-                      finished_record_body(record), [this, job_id] {
-                        auto finished = queue_.find(job_id);
-                        if (finished.ok()) deliver_output(*finished.value());
-                      });
+  persist_append_then(
+      journal::body_of(journal::JobFinished{
+          job_id, record.state, record.exit_code, record.output_content,
+          record.error_content, record.cpu_cost, record.detail}),
+      [this, job_id] {
+        auto finished = queue_.find(job_id);
+        if (finished.ok()) deliver_output(*finished.value());
+      });
 
   release_pins(record);
 
@@ -1276,11 +1256,8 @@ void ShadowServer::deliver_output(job::JobRecord& record, bool full) {
     out.output_generation = entry.generation;
     // Non-gating: a lost reverse-shadow base costs one full output
     // transfer on the next re-run, never correctness.
-    BufWriter w;
-    w.put_string(sig);
-    w.put_varint(entry.generation);
-    w.put_string(entry.content);
-    persist_append_then(persist::RecordType::kOutputStored, w.take(),
+    persist_append_then(journal::body_of(journal::OutputStored{
+                            sig, entry.generation, entry.content}),
                         nullptr);
   }
 
@@ -1322,9 +1299,7 @@ void ShadowServer::handle(Connection* conn, const proto::JobOutputAck& m) {
                               "output delivered");
       // Non-gating: if this record is lost the job replays as kCompleted
       // and the output is re-delivered — a duplicate, not a loss.
-      BufWriter w;
-      w.put_varint(m.job_id);
-      persist_append_then(persist::RecordType::kJobDelivered, w.take(),
+      persist_append_then(journal::body_of(journal::JobDelivered{m.job_id}),
                           nullptr);
     }
     return;
@@ -1346,113 +1321,66 @@ void ShadowServer::handle(Connection* conn, const proto::AdminQuery& m) {
                                       config_.name));
 }
 
-namespace {
-constexpr u32 kServerSnapshotMagic = 0x53485356;  // "SHSV"
-// v2 appended the job queue (crash-consistent durability needs jobs in
-// the compacted snapshot, not only in the journal). v3 appended the
-// shard manifest (shard id + shard count) for the thread-per-core
-// server; v2 snapshots still restore (as shard 0 of 1). v4 added the
-// per-entry kind byte to the cache section (content vs digest-only CDC
-// entries); v2/v3 snapshots decode every entry as content.
-constexpr u8 kSnapshotVersion = 4;
-constexpr u8 kMinSnapshotVersion = 2;
-}  // namespace
-
 Bytes ShadowServer::save_state() const {
+  const auto entries = cache_.eviction_order();
   BufWriter w;
-  w.put_u32(kServerSnapshotMagic);
-  w.put_u8(kSnapshotVersion);
-  cache_.encode(w);
-  domains_.encode(w);
-  w.put_varint(files_.size());
-  for (const auto& [key, state] : files_) {
-    w.put_string(key);
-    state.id.encode(w);
-    w.put_varint(state.latest_known);
-    w.put_varint(state.latest_size);
-    w.put_u32(state.latest_crc);
-    w.put_string(state.owner_client);
+  journal::SnapshotHeader{
+      config_.shard_id, config_.shard_count,
+      entries.size() + queue_.size() + output_cache_.size()}
+      .encode(w);
+  // Cache records come first, so every shadow id a cache key names is
+  // bound before a job's files are interned (the recovery pre-pass rule).
+  // An entry put without a FileState (tests poke the cache directly) is
+  // written with an empty file id; replay still reserves its shadow id.
+  static const FileState kUntracked;
+  for (const cache::CacheEntry* entry : entries) {
+    auto tracked = files_.find(entry->key);
+    const FileState& state =
+        tracked != files_.end() ? tracked->second : kUntracked;
+    journal::ShadowHeader head{state.id, entry->key, entry->version,
+                               entry->crc};
+    if (entry->has_bytes()) {
+      journal::put_snapshot_record(
+          w, journal::ShadowCached{std::move(head), entry->content,
+                                   state.owner_client});
+    } else {
+      journal::put_snapshot_record(
+          w, journal::ShadowDigest{std::move(head), entry->signature,
+                                   state.owner_client});
+    }
   }
-  w.put_varint(output_cache_.size());
+  for (const auto& [id, job] : queue_.all()) {
+    journal::put_snapshot_record(w, job);
+  }
   for (const auto& [sig, entry] : output_cache_) {
-    w.put_string(sig);
-    w.put_varint(entry.generation);
-    w.put_string(entry.content);
+    journal::put_snapshot_record(
+        w, journal::OutputStored{sig, entry.generation, entry.content});
   }
-  queue_.encode(w);
-  // v3 shard manifest, at the tail so a v2 reader-shaped layout precedes
-  // it unchanged.
-  w.put_varint(config_.shard_id);
-  w.put_varint(config_.shard_count);
   return w.take();
 }
 
 Status ShadowServer::restore_state(const Bytes& snapshot) {
   BufReader r(snapshot);
-  SHADOW_ASSIGN_OR_RETURN(magic, r.get_u32());
-  SHADOW_ASSIGN_OR_RETURN(version, r.get_u8());
-  if (magic != kServerSnapshotMagic || version < kMinSnapshotVersion ||
-      version > kSnapshotVersion) {
-    return Error{ErrorCode::kInvalidArgument, "not a server snapshot"};
-  }
-  SHADOW_TRY(cache_.restore(r, /*with_kinds=*/version >= 4));
-  SHADOW_ASSIGN_OR_RETURN(domains, naming::DomainMap::decode(r));
-  domains_ = std::move(domains);
-  SHADOW_ASSIGN_OR_RETURN(file_count, r.get_varint());
-  if (file_count > r.remaining()) {
-    return Error{ErrorCode::kProtocolError, "file count exceeds data"};
-  }
-  files_.clear();
-  for (u64 i = 0; i < file_count; ++i) {
-    FileState state;
-    SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
-    SHADOW_ASSIGN_OR_RETURN(id, naming::GlobalFileId::decode(r));
-    SHADOW_ASSIGN_OR_RETURN(latest, r.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(size, r.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(crc, r.get_u32());
-    SHADOW_ASSIGN_OR_RETURN(owner, r.get_string());
-    state.id = std::move(id);
-    state.cache_key = key;
-    state.latest_known = latest;
-    state.latest_size = size;
-    state.latest_crc = crc;
-    state.owner_client = std::move(owner);
-    // No pulls are in flight in a fresh process.
-    state.pull_outstanding = 0;
-    state.pull_wanted = false;
-    files_.emplace(std::move(key), std::move(state));
-  }
-  SHADOW_ASSIGN_OR_RETURN(output_count, r.get_varint());
-  if (output_count > r.remaining()) {
-    return Error{ErrorCode::kProtocolError, "output count exceeds data"};
-  }
-  output_cache_.clear();
-  for (u64 i = 0; i < output_count; ++i) {
-    SHADOW_ASSIGN_OR_RETURN(sig, r.get_string());
-    SHADOW_ASSIGN_OR_RETURN(generation, r.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(content, r.get_string());
-    output_cache_[sig] = OutputCacheEntry{generation, std::move(content)};
-  }
-  SHADOW_ASSIGN_OR_RETURN(queue, job::JobQueue::restore(r));
-  queue_ = std::move(queue);
-  if (version >= 3) {
-    SHADOW_ASSIGN_OR_RETURN(snap_shard, r.get_varint());
-    SHADOW_ASSIGN_OR_RETURN(snap_count, r.get_varint());
-    // A re-sharded deployment (e.g. --threads 4 over a store written with
-    // --threads 2) changes which shard owns which file. Stale entries are
-    // only cache — clients re-announce and re-pull on reconnect — so warn
-    // and keep what we have rather than refuse to start.
-    if (snap_shard != config_.shard_id || snap_count != config_.shard_count) {
-      SHADOW_WARN() << config_.name << ": snapshot written as shard "
-                    << snap_shard << "/" << snap_count << ", recovering as "
-                    << config_.shard_id << "/" << config_.shard_count
-                    << "; cached state may belong to sibling shards";
-    }
+  SHADOW_ASSIGN_OR_RETURN(header, journal::SnapshotHeader::decode(r));
+  for (u64 i = 0; i < header.records; ++i) {
+    SHADOW_ASSIGN_OR_RETURN(type, journal::get_snapshot_record_type(r));
+    SHADOW_TRY(replay_record(type, r));
   }
   if (!r.at_end()) {
     return Error{ErrorCode::kProtocolError, "trailing bytes in snapshot"};
   }
-  outstanding_pulls_ = 0;
+  // A re-sharded deployment (e.g. --threads 4 over a store written with
+  // --threads 2) changes which shard owns which file. Stale entries are
+  // only cache — clients re-announce and re-pull on reconnect — so warn
+  // and keep what we have rather than refuse to start.
+  if (header.shard_id != config_.shard_id ||
+      header.shard_count != config_.shard_count) {
+    SHADOW_WARN() << config_.name << ": snapshot written as shard "
+                  << header.shard_id << "/" << header.shard_count
+                  << ", recovering as " << config_.shard_id << "/"
+                  << config_.shard_count
+                  << "; cached state may belong to sibling shards";
+  }
   return Status();
 }
 
@@ -1471,9 +1399,9 @@ namespace {
 /// for a malformed key (possible only with a corrupted-but-CRC-colliding
 /// journal; the caller skips the record).
 std::optional<std::pair<std::string, naming::ShadowId>> split_cache_key(
-    const std::string& key) {
+    std::string_view key) {
   const auto slash = key.rfind('/');
-  if (slash == std::string::npos || slash + 1 >= key.size()) {
+  if (slash == std::string_view::npos || slash + 1 >= key.size()) {
     return std::nullopt;
   }
   naming::ShadowId sid = 0;
@@ -1483,79 +1411,69 @@ std::optional<std::pair<std::string, naming::ShadowId>> split_cache_key(
     if (sid > (~u64{0} - (c - '0')) / 10) return std::nullopt;  // overflow
     sid = sid * 10 + static_cast<u64>(c - '0');
   }
-  return std::make_pair(key.substr(0, slash), sid);
+  return std::make_pair(std::string(key.substr(0, slash)), sid);
 }
 }  // namespace
 
-Status ShadowServer::replay_record(const persist::JournalRecord& record) {
-  BufReader r(record.body);
-  switch (record.type) {
+bool ShadowServer::bind_shadow(const journal::ShadowHeader& head) {
+  const auto split = split_cache_key(head.key);
+  if (!split) return false;
+  domains_.domain(split->first).bind(head.id, split->second);
+  return true;
+}
+
+Status ShadowServer::replay_shadow(journal::ShadowHeader& head, u64 size,
+                                   std::string_view owner) {
+  if (!bind_shadow(head)) {
+    return Error{ErrorCode::kProtocolError,
+                 "malformed cache key " + std::string(head.key)};
+  }
+  FileState& state = files_[std::string(head.key)];
+  state.id = std::move(head.id);
+  state.cache_key = head.key;
+  if (head.version >= state.latest_known) {
+    state.latest_known = head.version;
+    state.latest_size = size;
+    state.latest_crc = head.crc;
+    state.owner_client = owner;
+  }
+  state.pull_outstanding = 0;
+  state.pull_wanted = false;
+  return Status();
+}
+
+Status ShadowServer::replay_record(persist::RecordType type, BufReader& in) {
+  switch (type) {
     case persist::RecordType::kShadowCached: {
-      SHADOW_ASSIGN_OR_RETURN(id, naming::GlobalFileId::decode(r));
-      SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
-      SHADOW_ASSIGN_OR_RETURN(version, r.get_varint());
-      SHADOW_ASSIGN_OR_RETURN(crc, r.get_u32());
-      SHADOW_ASSIGN_OR_RETURN(content, r.get_string());
-      SHADOW_ASSIGN_OR_RETURN(owner, r.get_string());
-      const auto split = split_cache_key(key);
-      if (!split) {
-        return Error{ErrorCode::kProtocolError, "malformed cache key " + key};
-      }
-      domains_.bind(id, split->second);
-      FileState& state = files_[key];
-      state.id = std::move(id);
-      state.cache_key = key;
-      if (version >= state.latest_known) {
-        state.latest_known = version;
-        state.latest_size = content.size();
-        state.latest_crc = crc;
-        state.owner_client = std::move(owner);
-      }
-      state.pull_outstanding = 0;
-      state.pull_wanted = false;
+      SHADOW_ASSIGN_OR_RETURN(rec, journal::decode<journal::ShadowCached>(in));
+      SHADOW_TRY(replay_shadow(rec.head, rec.content.size(), rec.owner));
       // A refused put (over budget) is the cache's normal best-effort
       // behaviour, not a replay failure.
-      (void)cache_.put(key, version, std::move(content), crc);
+      (void)cache_.put(std::string(rec.head.key), rec.head.version,
+                       std::string(rec.content), rec.head.crc);
       return Status();
     }
     case persist::RecordType::kShadowDigest: {
-      SHADOW_ASSIGN_OR_RETURN(id, naming::GlobalFileId::decode(r));
-      SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
-      SHADOW_ASSIGN_OR_RETURN(version, r.get_varint());
-      SHADOW_ASSIGN_OR_RETURN(crc, r.get_u32());
-      SHADOW_ASSIGN_OR_RETURN(sig, cdc::Signature::decode(r));
-      SHADOW_ASSIGN_OR_RETURN(owner, r.get_string());
-      const auto split = split_cache_key(key);
-      if (!split) {
-        return Error{ErrorCode::kProtocolError, "malformed cache key " + key};
-      }
-      domains_.bind(id, split->second);
-      FileState& state = files_[key];
-      state.id = std::move(id);
-      state.cache_key = key;
-      if (version >= state.latest_known) {
-        state.latest_known = version;
-        state.latest_size = sig.total_bytes();
-        state.latest_crc = crc;
-        state.owner_client = std::move(owner);
-      }
-      state.pull_outstanding = 0;
-      state.pull_wanted = false;
-      (void)cache_.put_digest(key, version, std::move(sig), crc);
+      SHADOW_ASSIGN_OR_RETURN(rec, journal::decode<journal::ShadowDigest>(in));
+      SHADOW_TRY(replay_shadow(rec.head, rec.sig.total_bytes(), rec.owner));
+      (void)cache_.put_digest(std::string(rec.head.key), rec.head.version,
+                              std::move(rec.sig), rec.head.crc);
       return Status();
     }
     case persist::RecordType::kShadowEvicted: {
-      SHADOW_ASSIGN_OR_RETURN(key, r.get_string());
+      SHADOW_ASSIGN_OR_RETURN(rec, journal::decode<journal::ShadowEvicted>(in));
+      const std::string key(rec.key);
       cache_.erase(key);
       auto it = files_.find(key);
       if (it != files_.end()) it->second.latest_known = 0;
       return Status();
     }
     case persist::RecordType::kJobSubmitted: {
-      SHADOW_ASSIGN_OR_RETURN(job, job::decode_job_record(r));
+      SHADOW_ASSIGN_OR_RETURN(job, journal::decode<job::JobRecord>(in));
       // Seed per-file knowledge so the rerun can pull what it needs once
-      // the owner reconnects; intern is safe — every key the journal ever
-      // assigned was bound in the pre-pass.
+      // the owner reconnects; intern is safe — every key a shadow record
+      // assigned was bound first (the pre-pass, and the snapshot's cache
+      // records precede its jobs).
       for (const auto& ref : job.files) {
         FileState& state = file_state(ref.file);
         if (ref.version > state.latest_known) {
@@ -1569,8 +1487,8 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       return Status();
     }
     case persist::RecordType::kJobStarted: {
-      SHADOW_ASSIGN_OR_RETURN(job_id, r.get_varint());
-      auto found = queue_.find(job_id);
+      SHADOW_ASSIGN_OR_RETURN(rec, journal::decode<journal::JobStarted>(in));
+      auto found = queue_.find(rec.job_id);
       if (!found.ok()) return Status();  // older than the snapshot horizon
       job::JobRecord& job = *found.value();
       if (job.state == proto::JobState::kQueued ||
@@ -1581,32 +1499,26 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       return Status();
     }
     case persist::RecordType::kJobFinished: {
-      SHADOW_ASSIGN_OR_RETURN(job_id, r.get_varint());
-      SHADOW_ASSIGN_OR_RETURN(state_raw, r.get_u8());
-      SHADOW_ASSIGN_OR_RETURN(exit_code, r.get_varint_signed());
-      SHADOW_ASSIGN_OR_RETURN(output_content, r.get_string());
-      SHADOW_ASSIGN_OR_RETURN(error_content, r.get_string());
-      SHADOW_ASSIGN_OR_RETURN(cpu_cost, r.get_varint());
-      SHADOW_ASSIGN_OR_RETURN(detail, r.get_string());
-      if (state_raw != static_cast<u8>(proto::JobState::kCompleted) &&
-          state_raw != static_cast<u8>(proto::JobState::kFailed)) {
+      SHADOW_ASSIGN_OR_RETURN(rec, journal::decode<journal::JobFinished>(in));
+      if (rec.state != proto::JobState::kCompleted &&
+          rec.state != proto::JobState::kFailed) {
         return Error{ErrorCode::kProtocolError, "bad finished state"};
       }
-      auto found = queue_.find(job_id);
+      auto found = queue_.find(rec.job_id);
       if (!found.ok()) return Status();
       job::JobRecord& job = *found.value();
       if (job.state == proto::JobState::kDelivered) return Status();
-      job.state = static_cast<proto::JobState>(state_raw);
-      job.exit_code = static_cast<int>(exit_code);
-      job.output_content = std::move(output_content);
-      job.error_content = std::move(error_content);
-      job.cpu_cost = cpu_cost;
-      job.detail = std::move(detail);
+      job.state = rec.state;
+      job.exit_code = rec.exit_code;
+      job.output_content = rec.output;
+      job.error_content = rec.error;
+      job.cpu_cost = rec.cpu_cost;
+      job.detail = rec.detail;
       return Status();
     }
     case persist::RecordType::kJobDelivered: {
-      SHADOW_ASSIGN_OR_RETURN(job_id, r.get_varint());
-      auto found = queue_.find(job_id);
+      SHADOW_ASSIGN_OR_RETURN(rec, journal::decode<journal::JobDelivered>(in));
+      auto found = queue_.find(rec.job_id);
       if (!found.ok()) return Status();
       job::JobRecord& job = *found.value();
       if (job.state == proto::JobState::kCompleted ||
@@ -1617,20 +1529,18 @@ Status ShadowServer::replay_record(const persist::JournalRecord& record) {
       return Status();
     }
     case persist::RecordType::kOutputStored: {
-      SHADOW_ASSIGN_OR_RETURN(sig, r.get_string());
-      SHADOW_ASSIGN_OR_RETURN(generation, r.get_varint());
-      SHADOW_ASSIGN_OR_RETURN(content, r.get_string());
-      auto& entry = output_cache_[sig];
-      if (generation >= entry.generation) {
-        entry.generation = generation;
-        entry.content = std::move(content);
+      SHADOW_ASSIGN_OR_RETURN(rec, journal::decode<journal::OutputStored>(in));
+      auto& entry = output_cache_[std::string(rec.signature)];
+      if (rec.generation >= entry.generation) {
+        entry.generation = rec.generation;
+        entry.content = rec.content;
       }
       return Status();
     }
   }
   return Error{ErrorCode::kProtocolError,
                "unknown record type " +
-                   std::to_string(static_cast<unsigned>(record.type))};
+                   std::to_string(static_cast<unsigned>(type))};
 }
 
 void ShadowServer::requeue_orphans() {
@@ -1662,6 +1572,26 @@ Status ShadowServer::recover_from_storage() {
   if (store_ == nullptr) return Status();
   SHADOW_ASSIGN_OR_RETURN(recovered, store_->recover());
 
+  // Pre-pass: bind every (file id, shadow id) pair the journal's cached
+  // and digest records assigned BEFORE anything is replayed. Replaying a
+  // job first — from the snapshot or the journal — could otherwise intern
+  // one of its files under a fresh id that a later shadow record claims
+  // for a different file. (The snapshot's own cache records precede its
+  // jobs for the same reason.)
+  auto bind_journal_shadows = [&] {
+    for (const auto& record : recovered.records) {
+      if (record.type != persist::RecordType::kShadowCached &&
+          record.type != persist::RecordType::kShadowDigest) {
+        continue;
+      }
+      BufReader r(record.body);
+      auto head = journal::decode<journal::ShadowHeader>(r);
+      // The full replay rejects what does not decode.
+      if (head.ok()) (void)bind_shadow(head.value());
+    }
+  };
+  bind_journal_shadows();
+
   bool dirty = recovered.journal_torn || recovered.snapshot_corrupt;
   if (!recovered.snapshot.empty()) {
     Status st = restore_state(recovered.snapshot);
@@ -1671,28 +1601,17 @@ Status ShadowServer::recover_from_storage() {
       SHADOW_WARN() << config_.name << ": snapshot unusable ("
                     << st.to_string() << "); replaying journal only";
       reset_volatile_state();
-      dirty = true;
-    } else {
-      dirty = true;
+      bind_journal_shadows();
     }
+    dirty = true;
   }
 
-  // Pre-pass: bind every (file id, shadow id) pair the journal assigned
-  // BEFORE any record is replayed. Replaying a job first could otherwise
-  // intern one of its files under a fresh id that a later kShadowCached
-  // record claims for a different file.
   for (const auto& record : recovered.records) {
-    if (record.type != persist::RecordType::kShadowCached) continue;
     BufReader r(record.body);
-    auto id = naming::GlobalFileId::decode(r);
-    auto key = r.get_string();
-    if (!id.ok() || !key.ok()) continue;  // full replay will reject it
-    const auto split = split_cache_key(key.value());
-    if (split) domains_.bind(id.value(), split->second);
-  }
-
-  for (const auto& record : recovered.records) {
-    Status st = replay_record(record);
+    Status st = replay_record(record.type, r);
+    if (st.ok() && !r.at_end()) {
+      st = Error{ErrorCode::kProtocolError, "trailing bytes in record"};
+    }
     if (!st.ok()) {
       // A record that passed its CRC but does not decode is as trustworthy
       // as a torn tail: stop here and keep the clean prefix.

@@ -25,6 +25,7 @@
 #include "persist/durable_store.hpp"
 #include "proto/messages.hpp"
 #include "proto/session.hpp"
+#include "server/journal_records.hpp"
 #include "server/load_monitor.hpp"
 #include "sim/simulator.hpp"
 #include "util/result.hpp"
@@ -288,13 +289,16 @@ class ShadowServer {
   /// shadowtop sees current values; cheap enough to call at will.
   void sync_telemetry() const;
 
-  /// Snapshot the server's durable state: the shadow cache, the per-domain
-  /// name maps, per-file version tracking and the reverse-shadow output
-  /// cache. Live connections and in-flight jobs are NOT included — after
-  /// a crash, clients reconnect and resubmit; the cache is what makes the
-  /// resubmissions cheap.
+  /// Snapshot the server's durable state as the shortest record stream
+  /// that rebuilds it (server/journal_records.hpp): one cached or digest
+  /// record per cache entry, in the eviction policy's order so recency
+  /// survives; then one job-submitted record per job, in any state; then
+  /// one output-stored record per reverse-shadow output. Live connections
+  /// and pulls in flight are NOT included — after a crash, clients
+  /// reconnect and re-announce; the cache is what makes that cheap.
   Bytes save_state() const;
-  /// Restore a snapshot into a freshly constructed server (same config).
+  /// Restore a snapshot into a freshly constructed server (same config):
+  /// check the header, replay its records.
   Status restore_state(const Bytes& snapshot);
 
   /// Crash recovery: load the store's snapshot, replay the journal's
@@ -426,11 +430,11 @@ class ShadowServer {
   /// and re-deliver outputs the client never acknowledged.
   void resync_connection(Connection* conn);
 
-  /// Journal one record and run `on_durable` once it is fsynced, from the
-  /// flush that seals its batch (inline with no store attached). On
-  /// storage failure the callback never runs and the server stops
-  /// acking. Pass nullptr for non-gating records.
-  void persist_append_then(persist::RecordType type, Bytes body,
+  /// Journal one record (journal::body_of) and run `on_durable` once it
+  /// is fsynced, from the flush that seals its batch (inline with no
+  /// store attached). On storage failure the callback never runs and the
+  /// server stops acking. Pass nullptr for non-gating records.
+  void persist_append_then(journal::Body body,
                            std::function<void()> on_durable);
   /// Storage refused a write/fsync: count it, stop acking, log once.
   void mark_persist_dead(persist::RecordType type, const Status& st);
@@ -444,15 +448,21 @@ class ShadowServer {
   /// (deferred acks may outlive a detach).
   void send_if_attached(Connection* conn, const std::string& client_name,
                         const proto::Message& m);
-  /// Journal body of a finished (completed or failed) job record.
-  static Bytes finished_record_body(const job::JobRecord& record);
   /// Non-gating eviction record (losing it costs a re-pull, not
   /// correctness).
   void persist_eviction(const std::string& cache_key);
 
-  /// Replay one journal record over the current state; all replays are
-  /// idempotent so records older than the snapshot are harmless.
-  Status replay_record(const persist::JournalRecord& record);
+  /// Replay one record (its body read from `in`) over the current state:
+  /// a journal record, or one of a snapshot's. All replays are idempotent
+  /// so records older than the snapshot are harmless.
+  Status replay_record(persist::RecordType type, BufReader& in);
+  /// Bind the (file id, shadow id) pair a shadow record carries, in the
+  /// domain its cache key names. False for a malformed key.
+  bool bind_shadow(const journal::ShadowHeader& head);
+  /// The FileState update both shadow records replay: bind, then adopt
+  /// the record's version (of `size` bytes) if it is the newest known.
+  Status replay_shadow(journal::ShadowHeader& head, u64 size,
+                       std::string_view owner);
   /// Drop every piece of recoverable state (used when a damaged snapshot
   /// degrades recovery to journal-only).
   void reset_volatile_state();

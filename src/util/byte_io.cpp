@@ -35,7 +35,7 @@ void BufWriter::put_bytes(const Bytes& b) {
   put_raw(b);
 }
 
-void BufWriter::put_string(const std::string& s) {
+void BufWriter::put_string(std::string_view s) {
   put_varint(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
@@ -95,8 +95,21 @@ Result<Bytes> BufReader::get_bytes() {
 }
 
 Result<std::string> BufReader::get_string() {
-  SHADOW_ASSIGN_OR_RETURN(raw, get_bytes());
-  return std::string(raw.begin(), raw.end());
+  SHADOW_ASSIGN_OR_RETURN(view, get_string_view());
+  return std::string(view);
+}
+
+Result<std::string_view> BufReader::get_string_view() {
+  SHADOW_ASSIGN_OR_RETURN(len, get_varint());
+  if (len > remaining()) {
+    return Error{ErrorCode::kProtocolError,
+                 "length prefix exceeds remaining buffer"};
+  }
+  const std::string_view view(
+      reinterpret_cast<const char*>(buf_.data()) + pos_,
+      static_cast<std::size_t>(len));
+  pos_ += view.size();
+  return view;
 }
 
 Result<Bytes> BufReader::get_raw(std::size_t len) {

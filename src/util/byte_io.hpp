@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "util/result.hpp"
 #include "util/types.hpp"
@@ -30,7 +31,7 @@ class BufWriter {
   /// Length-prefixed (varint) byte block.
   void put_bytes(const Bytes& b);
   /// Length-prefixed (varint) string.
-  void put_string(const std::string& s);
+  void put_string(std::string_view s);
   /// Raw bytes, no length prefix.
   void put_raw(const u8* data, std::size_t len);
   void put_raw(const Bytes& b) { put_raw(b.data(), b.size()); }
@@ -58,6 +59,8 @@ class BufReader {
   Result<i64> get_varint_signed();
   Result<Bytes> get_bytes();
   Result<std::string> get_string();
+  /// Length-prefixed string viewed in place: valid while the buffer is.
+  Result<std::string_view> get_string_view();
   /// Exactly `len` raw bytes.
   Result<Bytes> get_raw(std::size_t len);
 

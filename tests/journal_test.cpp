@@ -2,7 +2,8 @@
 // crash model, FsDir against the real filesystem), the fault-injecting
 // decorator, the CRC-framed journal scanner (including a cut at EVERY
 // byte of a valid journal), the snapshot wrapper, the DurableStore
-// append/compact/recover cycle, and the job-record codec it persists.
+// append/compact/recover cycle, and the record codec it persists
+// (server/journal_records.hpp), pinned to golden bytes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,6 +13,8 @@
 #include "persist/fault_fs.hpp"
 #include "persist/storage.hpp"
 #include "persist/wal.hpp"
+#include "server/journal_records.hpp"
+#include "server/shadow_server.hpp"
 #include "util/crc32.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -507,7 +510,9 @@ TEST(DurableStoreTest, CrashBetweenSnapshotAndTruncateReplaysIdempotently) {
       << "old journal records must still be visible after the crash";
 }
 
-// ---- job record codec ----
+// ---- record codec ----
+
+namespace journal = server::journal;
 
 job::JobRecord sample_job() {
   job::JobRecord job;
@@ -540,9 +545,9 @@ job::JobRecord sample_job() {
 TEST(JobCodecTest, RoundTripsEveryField) {
   const job::JobRecord job = sample_job();
   BufWriter w;
-  job::encode_job_record(job, w);
+  journal::encode(w, job);
   BufReader r(w.data());
-  auto decoded = job::decode_job_record(r);
+  auto decoded = journal::decode<job::JobRecord>(r);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(r.at_end());
   const job::JobRecord& got = decoded.value();
@@ -568,7 +573,7 @@ TEST(JobCodecTest, RoundTripsEveryField) {
 TEST(JobCodecTest, RejectsBadState) {
   job::JobRecord job = sample_job();
   BufWriter w;
-  job::encode_job_record(job, w);
+  journal::encode(w, job);
   Bytes raw = w.take();
   // The state byte follows three strings; damage it by brute force: set
   // every byte to 0xEE in turn and require no decode ever yields a state
@@ -577,7 +582,7 @@ TEST(JobCodecTest, RejectsBadState) {
     Bytes damaged = raw;
     damaged[i] = 0xEE;
     BufReader r(damaged);
-    auto decoded = job::decode_job_record(r);
+    auto decoded = journal::decode<job::JobRecord>(r);
     if (decoded.ok()) {
       EXPECT_LE(static_cast<u8>(decoded.value().state),
                 static_cast<u8>(proto::JobState::kDelivered));
@@ -585,31 +590,188 @@ TEST(JobCodecTest, RejectsBadState) {
   }
 }
 
-TEST(JobQueueTest, EncodeRestorePreservesQueueAndIdCounter) {
-  job::JobQueue queue;
-  job::JobRecord a = sample_job();
-  a.job_id = 0;
-  (void)queue.add(a);  // becomes id 1, state kQueued
-  job::JobRecord b = sample_job();
-  b.job_id = 0;
-  b.client_job_token = 8;
-  const u64 id_b = queue.add(b);
-  ASSERT_TRUE(queue.transition(id_b, proto::JobState::kRunning).ok());
+// ---- golden bytes: the journal layout each record type writes ----
+//
+// One vector per record type, taken from journals the server wrote before
+// the record codec existed. The structs must reproduce them byte for byte
+// (old journals replay unchanged), and decode them back field for field.
 
-  BufWriter w;
-  queue.encode(w);
-  BufReader r(w.data());
-  auto restored = job::JobQueue::restore(r);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(r.at_end());
-  EXPECT_EQ(restored.value().size(), 2u);
-  ASSERT_TRUE(restored.value().find(id_b).ok());
-  EXPECT_EQ(restored.value().find(id_b).value()->state,
-            proto::JobState::kRunning);
-  // The id counter survives: the next add must not reuse an id.
-  job::JobRecord c = sample_job();
-  c.job_id = 0;
-  EXPECT_EQ(restored.value().add(c), 3u);
+Bytes from_hex(const std::string& hex) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<u8>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+const naming::GlobalFileId kGoldenFile{"net", "ws", "/f", 7};
+
+journal::ShadowHeader golden_head() {
+  return journal::ShadowHeader{kGoldenFile, "net/3", 5, 0xDEADBEEF};
+}
+
+cdc::Signature golden_signature() {
+  cdc::Signature sig;
+  sig.chunks.push_back({3000, 0x11223344, 0x0102030405060708ull});
+  sig.chunks.push_back({17, 0xAABBCCDD, 0xF0E0D0C0B0A09080ull});
+  return sig;
+}
+
+job::JobRecord golden_job() {
+  job::JobRecord job = sample_job();
+  job.files[0].file = kGoldenFile;
+  job.output_name = "/o";
+  job.error_name = "/e";
+  job.output_route = "r";
+  job.state = proto::JobState::kCompleted;
+  job.detail = "completed";
+  job.output_content = "out";
+  job.error_content = "err";
+  return job;
+}
+
+struct Golden {
+  RecordType type;
+  journal::Body body;  // what the struct encodes
+  const char* hex;     // what the journal holds
+};
+
+std::vector<Golden> golden_records() {
+  const job::JobRecord job = golden_job();
+  return {
+      {RecordType::kShadowCached,
+       journal::body_of(journal::ShadowCached{golden_head(), "abc\n", "ws"}),
+       "036e6574027773022f6607056e65742f3305efbeadde046162630a027773"},
+      {RecordType::kShadowDigest,
+       journal::body_of(
+           journal::ShadowDigest{golden_head(), golden_signature(), "ws"}),
+       "036e6574027773022f6607056e65742f3305efbeaddede81b7f7058010804080800402"
+       "b81744332211080706050403020111ddccbbaa8090a0b0c0d0e0f0027773"},
+      {RecordType::kShadowEvicted,
+       journal::body_of(journal::ShadowEvicted{"net/3"}), "056e65742f33"},
+      {RecordType::kJobSubmitted, journal::body_of(job),
+       "2a027773070a736f727420646174610a01036e6574027773022f6607046461746105"
+       "cdab0000022f6f022f6501720309636f6d706c6574656405036f7574036572728f4e"
+       "02"},
+      {RecordType::kJobStarted, journal::body_of(journal::JobStarted{42}),
+       "2a"},
+      {RecordType::kJobFinished,
+       journal::body_of(journal::JobFinished{42, proto::JobState::kFailed, -3,
+                                             "out", "err", 9999,
+                                             "failed: x"}),
+       "2a0405036f7574036572728f4e096661696c65643a2078"},
+      {RecordType::kJobDelivered, journal::body_of(journal::JobDelivered{42}),
+       "2a"},
+      {RecordType::kOutputStored,
+       journal::body_of(journal::OutputStored{"ws|/o|cmd", 2, "result\n"}),
+       "0977737c2f6f7c636d640207726573756c740a"},
+  };
+}
+
+TEST(JournalRecordGolden, EveryTypeEncodesTheJournalLayout) {
+  const auto goldens = golden_records();
+  ASSERT_EQ(goldens.size(), 8u) << "one vector per RecordType";
+  for (const auto& g : goldens) {
+    SCOPED_TRACE(record_type_name(g.type));
+    EXPECT_EQ(g.body.type, g.type);
+    EXPECT_EQ(g.body.bytes, from_hex(g.hex));
+  }
+}
+
+TEST(JournalRecordGolden, EveryTypeDecodesFieldForField) {
+  // Decoded strings view the raw bytes, so these outlive every record.
+  std::vector<Bytes> raw;
+  for (const auto& g : golden_records()) raw.push_back(from_hex(g.hex));
+  auto decode_all = [](const Bytes& bytes, auto decode) {
+    BufReader r(bytes);
+    auto decoded = decode(r);
+    EXPECT_TRUE(decoded.ok());
+    EXPECT_TRUE(r.at_end());
+    return decoded;
+  };
+  {
+    auto rec = decode_all(raw[0], journal::decode<journal::ShadowCached>);
+    ASSERT_TRUE(rec.ok());
+    EXPECT_EQ(rec.value().head.id, kGoldenFile);
+    EXPECT_EQ(rec.value().head.key, "net/3");
+    EXPECT_EQ(rec.value().head.version, 5u);
+    EXPECT_EQ(rec.value().head.crc, 0xDEADBEEFu);
+    EXPECT_EQ(rec.value().content, "abc\n");
+    EXPECT_EQ(rec.value().owner, "ws");
+  }
+  {
+    auto rec = decode_all(raw[1], journal::decode<journal::ShadowDigest>);
+    ASSERT_TRUE(rec.ok());
+    EXPECT_EQ(rec.value().head.key, "net/3");
+    EXPECT_EQ(rec.value().sig, golden_signature());
+    EXPECT_EQ(rec.value().owner, "ws");
+  }
+  EXPECT_EQ(decode_all(raw[2], journal::decode<journal::ShadowEvicted>).value().key,
+            "net/3");
+  {
+    auto job = decode_all(raw[3], journal::decode<job::JobRecord>);
+    ASSERT_TRUE(job.ok());
+    EXPECT_EQ(journal::body_of(job.value()).bytes, raw[3]);
+  }
+  EXPECT_EQ(decode_all(raw[4], journal::decode<journal::JobStarted>).value().job_id,
+            42u);
+  {
+    auto rec = decode_all(raw[5], journal::decode<journal::JobFinished>);
+    ASSERT_TRUE(rec.ok());
+    EXPECT_EQ(rec.value().job_id, 42u);
+    EXPECT_EQ(rec.value().state, proto::JobState::kFailed);
+    EXPECT_EQ(rec.value().exit_code, -3);
+    EXPECT_EQ(rec.value().output, "out");
+    EXPECT_EQ(rec.value().error, "err");
+    EXPECT_EQ(rec.value().cpu_cost, 9999u);
+    EXPECT_EQ(rec.value().detail, "failed: x");
+  }
+  EXPECT_EQ(decode_all(raw[6], journal::decode<journal::JobDelivered>).value().job_id,
+            42u);
+  {
+    auto rec = decode_all(raw[7], journal::decode<journal::OutputStored>);
+    ASSERT_TRUE(rec.ok());
+    EXPECT_EQ(rec.value().signature, "ws|/o|cmd");
+    EXPECT_EQ(rec.value().generation, 2u);
+    EXPECT_EQ(rec.value().content, "result\n");
+  }
+}
+
+TEST(JournalRecordGolden, OldJournalReplaysIntoTheSameState) {
+  // A journal of the golden bodies, framed as the store frames them:
+  // recovery replays every record and ends in the state they describe.
+  QuietLogs quiet;
+  MemDir disk;
+  {
+    DurableStore store(&disk);
+    for (RecordType type :
+         {RecordType::kShadowCached, RecordType::kJobSubmitted,
+          RecordType::kJobStarted, RecordType::kJobFinished,
+          RecordType::kJobDelivered, RecordType::kOutputStored,
+          RecordType::kShadowEvicted, RecordType::kShadowDigest}) {
+      for (const auto& g : golden_records()) {
+        if (g.type == type) {
+          ASSERT_TRUE(store.append(type, from_hex(g.hex)).ok());
+        }
+      }
+    }
+  }
+  DurableStore store(&disk);
+  server::ServerConfig sc;
+  server::ShadowServer server(sc, nullptr, &store);
+  ASSERT_TRUE(server.recover_from_storage().ok());
+  EXPECT_EQ(server.stats().recovered_records, 8u);
+  EXPECT_EQ(server.domains().cache_key(kGoldenFile), "net/3");
+  const auto* entry = server.file_cache().peek("net/3");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(entry->has_bytes()) << "the digest record came last";
+  EXPECT_EQ(entry->version, 5u);
+  EXPECT_EQ(entry->signature, golden_signature());
+  auto job = server.jobs().find(42);
+  ASSERT_TRUE(job.ok());
+  EXPECT_EQ(job.value()->state, proto::JobState::kDelivered);
+  EXPECT_EQ(job.value()->exit_code, -3);
+  EXPECT_EQ(job.value()->output_content, "out");
 }
 
 TEST(JobQueueTest, RestoreRecordIsInsertIfAbsent) {

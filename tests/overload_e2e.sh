@@ -86,6 +86,14 @@ drain_and_restart() {  # $1 = shard count
     || fail "$1-shard restart recovered no journal records — drain lost the batch"
   printf 'quit\n' | "$BUILD_DIR/tools/shadow" --connect "$PORT" > /dev/null 2>&1
   wait "$DPID" 2>/dev/null
+
+  # The restart compacted its recovery into a snapshot: tools/wal must
+  # decode every record of it and of the journal through the record codec.
+  "$BUILD_DIR/tools/wal" "$(dirname "$WAL")" --snapshot > "$LOG" 2>&1 \
+    || fail "wal --snapshot on the $1-shard journal exited $?"
+  grep -q UNDECODABLE "$LOG" && fail "$1-shard journal has an UNDECODABLE record"
+  [ "$1" -ne 1 ] || grep -q "crc ok" "$LOG" \
+    || fail "1-shard restart left no readable snapshot"
   rm -rf "$JOURNAL"
 }
 drain_and_restart 1

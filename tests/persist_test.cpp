@@ -1,14 +1,18 @@
-// Checkpoint/restore tests: component round trips plus the end-to-end
-// payoff — a restarted process that restores its snapshot continues with
-// DELTAS where a fresh one would pay a full transfer.
+// Checkpoint/restore tests: component round trips, the server snapshot
+// (a record stream) as a fixed point, recovery's shadow-id binding, plus
+// the end-to-end payoff — a restarted process that restores its snapshot
+// continues with DELTAS where a fresh one would pay a full transfer.
 #include <gtest/gtest.h>
 
 #include "cache/shadow_cache.hpp"
+#include "cdc/signature.hpp"
 #include "client/shadow_client.hpp"
 #include "client/shadow_editor.hpp"
 #include "core/workload.hpp"
-#include "naming/domain_map.hpp"
 #include "net/loopback.hpp"
+#include "persist/durable_store.hpp"
+#include "persist/storage.hpp"
+#include "server/journal_records.hpp"
 #include "server/shadow_server.hpp"
 #include "util/crc32.hpp"
 #include "version/version_store.hpp"
@@ -68,74 +72,191 @@ TEST(PersistTest, VersionStoreRoundTrip) {
             version::StorageMode::kReverseDelta);
 }
 
-TEST(PersistTest, ShadowCacheRoundTripPreservesRecency) {
-  cache::ShadowCache cache(100, cache::EvictionPolicy::kLru);
-  auto put = [&](const std::string& key, const std::string& content) {
-    ASSERT_TRUE(cache.put(key, 1, content,
-                          crc32(reinterpret_cast<const u8*>(content.data()),
-                                content.size()))
-                    .ok());
-  };
-  put("old", "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa");  // 40 B
-  put("new", "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb");  // 40 B
-  ASSERT_TRUE(cache.get("old").ok());  // refresh "old"
+// ---- the server snapshot: a record stream ----
 
-  BufWriter w;
-  cache.encode(w);
-  cache::ShadowCache restored(100, cache::EvictionPolicy::kLru);
-  BufReader r(w.data());
-  ASSERT_TRUE(restored.restore(r).ok());
-  EXPECT_EQ(restored.entry_count(), 2u);
-  EXPECT_EQ(restored.bytes_used(), 80u);
-  // Recency survived: inserting 40 more bytes evicts "new" (last touched
-  // before "old" was refreshed), not "old".
-  ASSERT_TRUE(restored
-                  .put("third", 1,
-                       "cccccccccccccccccccccccccccccccccccccccc", 0)
-                  .ok());
-  EXPECT_TRUE(restored.contains("old"));
-  EXPECT_FALSE(restored.contains("new"));
+namespace journal = server::journal;
+
+naming::GlobalFileId file_id(const std::string& domain, u64 inode) {
+  return naming::GlobalFileId{domain, "ws", "/home/user/f" + std::to_string(inode),
+                              inode};
 }
 
-TEST(PersistTest, ShadowCacheRestoreTrimsToBudget) {
-  cache::ShadowCache big(0);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        big.put("k" + std::to_string(i), 1, std::string(100, 'x'), 0).ok());
+std::string text_of(char c, std::size_t n) { return std::string(n, c); }
+
+u32 crc_of(const std::string& s) {
+  return crc32(reinterpret_cast<const u8*>(s.data()), s.size());
+}
+
+/// A snapshot holding one of everything: content entries, a digest entry,
+/// a job in each state and a reverse-shadow output entry — in the order
+/// the writer emits them (cache entries least recently used first, jobs
+/// by id, outputs by signature).
+Bytes everything_snapshot() {
+  const std::string a = text_of('a', 100);
+  const std::string b = text_of('b', 100);
+  const cdc::Signature sig =
+      cdc::signature_of(text_of('c', 5000), cdc::ChunkerParams{});
+  BufWriter w;
+  journal::SnapshotHeader{0, 1, 3 + 6 + 1}.encode(w);
+  journal::put_snapshot_record(
+      w, journal::ShadowCached{{file_id("net", 1), "net/1", 2, crc_of(a)},
+                               a, "ws"});
+  journal::put_snapshot_record(
+      w, journal::ShadowDigest{{file_id("net", 3), "net/3", 4,
+                                sig.whole_crc()},
+                               sig, "ws"});
+  journal::put_snapshot_record(
+      w, journal::ShadowCached{{file_id("net", 2), "net/2", 1, crc_of(b)},
+                               b, "other"});
+  u64 id = 0;
+  for (proto::JobState state :
+       {proto::JobState::kQueued, proto::JobState::kWaitingFiles,
+        proto::JobState::kRunning, proto::JobState::kCompleted,
+        proto::JobState::kFailed, proto::JobState::kDelivered}) {
+    job::JobRecord job;
+    job.job_id = ++id;
+    job.client_name = "ws";
+    job.client_job_token = 100 + id;
+    job.command_file = "wc data\n";
+    proto::JobFileRef ref;
+    ref.file = file_id("net", id == 1 ? 1 : 4);  // cached, or not
+    ref.local_name = "data";
+    ref.version = id == 1 ? 2 : 9;
+    ref.crc = 0x1234;
+    job.files.push_back(ref);
+    job.output_name = "/home/user/job.out";
+    job.state = state;
+    job.detail = proto::job_state_name(state);
+    job.output_content = id > 3 ? "output of job " + std::to_string(id) : "";
+    journal::put_snapshot_record(w, job);
   }
-  BufWriter w;
-  big.encode(w);
-  cache::ShadowCache small(250, cache::EvictionPolicy::kLru);
-  BufReader r(w.data());
-  ASSERT_TRUE(small.restore(r).ok());
-  EXPECT_LE(small.bytes_used(), 250u);
+  journal::put_snapshot_record(
+      w, journal::OutputStored{"ws|/home/user/job.out|wc data", 3, "prev"});
+  return w.take();
 }
 
-TEST(PersistTest, DomainMapRoundTrip) {
-  naming::DomainMap map;
-  naming::GlobalFileId id;
-  id.domain = "net-1";
-  id.host = "h";
-  id.path = "/f";
-  id.inode = 5;
-  const std::string key1 = map.cache_key(id);
-  id.inode = 6;
-  const std::string key2 = map.cache_key(id);
-  BufWriter w;
-  map.encode(w);
-  BufReader r(w.data());
-  auto restored = naming::DomainMap::decode(r);
-  ASSERT_TRUE(restored.ok());
-  // Identical keys come out of the restored map (ids remain stable).
-  id.inode = 5;
-  EXPECT_EQ(restored.value().cache_key(id), key1);
-  id.inode = 6;
-  EXPECT_EQ(restored.value().cache_key(id), key2);
-  // And NEW files get fresh ids, not collisions.
-  id.inode = 7;
-  const std::string key3 = restored.value().cache_key(id);
-  EXPECT_NE(key3, key1);
-  EXPECT_NE(key3, key2);
+TEST(ServerSnapshotTest, RestoreThenSaveIsAFixedPoint) {
+  server::ServerConfig sc;
+  server::ShadowServer original(sc);
+  const Bytes stream = everything_snapshot();
+  ASSERT_TRUE(original.restore_state(stream).ok());
+  ASSERT_EQ(original.file_cache().entry_count(), 3u);
+  ASSERT_EQ(original.jobs().size(), 6u);
+  // The writer emits exactly the canonical stream it was given...
+  const Bytes saved = original.save_state();
+  EXPECT_EQ(saved, stream);
+  // ...and a server restored from it saves the same bytes again.
+  server::ShadowServer restored(sc);
+  ASSERT_TRUE(restored.restore_state(saved).ok());
+  EXPECT_EQ(restored.save_state(), saved);
+  // Every job state survives, and the id counter moves past them.
+  for (u64 id = 1; id <= 6; ++id) {
+    EXPECT_EQ(restored.jobs().find(id).value()->state,
+              original.jobs().find(id).value()->state)
+        << "job " << id;
+  }
+  const auto* digest = restored.file_cache().peek("net/3");
+  ASSERT_NE(digest, nullptr);
+  EXPECT_FALSE(digest->has_bytes());
+}
+
+TEST(ServerSnapshotTest, LruRecencySurvivesARestore) {
+  server::ServerConfig sc;
+  server::ShadowServer original(sc);
+  ASSERT_TRUE(original.restore_state(everything_snapshot()).ok());
+  // Touch the oldest entry: it becomes the most recently used.
+  ASSERT_TRUE(original.file_cache().get("net/1").ok());
+  server::ShadowServer restored(sc);
+  ASSERT_TRUE(restored.restore_state(original.save_state()).ok());
+  std::vector<std::string> order;
+  for (const auto* entry : restored.file_cache().eviction_order()) {
+    order.push_back(entry->key);
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"net/3", "net/2", "net/1"}));
+  // The next put over budget evicts the least recently used: net/3.
+  restored.file_cache().set_byte_budget(restored.file_cache().bytes_used());
+  ASSERT_TRUE(restored.file_cache().put("net/9", 1, "x", 0).ok());
+  EXPECT_FALSE(restored.file_cache().contains("net/3"));
+  EXPECT_TRUE(restored.file_cache().contains("net/2"));
+  EXPECT_TRUE(restored.file_cache().contains("net/1"));
+}
+
+TEST(ServerSnapshotTest, RestoreIntoASmallerBudgetEvictsOldestFirst) {
+  server::ServerConfig sc;
+  sc.cache_budget = 200;  // both 100-byte content entries; no digest room
+  server::ShadowServer small(sc);
+  ASSERT_TRUE(small.restore_state(everything_snapshot()).ok());
+  EXPECT_LE(small.file_cache().bytes_used(), 200u);
+  // Ordinary eviction as the puts replay: net/1 (the oldest) made room
+  // for net/2.
+  EXPECT_FALSE(small.file_cache().contains("net/1"));
+  EXPECT_TRUE(small.file_cache().contains("net/3"));
+  EXPECT_TRUE(small.file_cache().contains("net/2"));
+  // The shadow ids of evicted entries stay bound.
+  EXPECT_EQ(small.domains().cache_key(file_id("net", 1)), "net/1");
+}
+
+TEST(ServerSnapshotTest, NewFileGetsAFreshShadowId) {
+  server::ServerConfig sc;
+  server::ShadowServer restored(sc);
+  ASSERT_TRUE(restored.restore_state(everything_snapshot()).ok());
+  // Cached files keep their ids; the uncached job input was interned
+  // after every cache record, so it cannot collide with one.
+  EXPECT_EQ(restored.domains().cache_key(file_id("net", 2)), "net/2");
+  EXPECT_EQ(restored.domains().cache_key(file_id("net", 4)), "net/4");
+  EXPECT_EQ(restored.domains().cache_key(file_id("net", 77)), "net/5");
+}
+
+// ---- recovery binds every shadow record's id before replaying jobs ----
+
+void append(persist::DurableStore& store, const journal::Body& body) {
+  ASSERT_TRUE(store.append(body.type, body.bytes).ok());
+}
+
+/// Journal [job-submitted(file x), <shadow record>(file y, "d/1")] and
+/// recover: x and y must end up under different shadow ids.
+void expect_distinct_ids_after_recovery(bool digest) {
+  const naming::GlobalFileId x = file_id("d", 10);
+  const naming::GlobalFileId y = file_id("d", 20);
+  persist::MemDir disk;
+  {
+    persist::DurableStore store(&disk);
+    job::JobRecord job;
+    job.job_id = 1;
+    job.client_name = "ws";
+    job.command_file = "wc x\n";
+    proto::JobFileRef ref;
+    ref.file = x;
+    ref.local_name = "x";
+    ref.version = 1;
+    job.files.push_back(ref);
+    append(store, journal::body_of(job));
+    const std::string content = "contents of y\n";
+    const journal::ShadowHeader head{y, "d/1", 1, crc_of(content)};
+    if (digest) {
+      append(store, journal::body_of(journal::ShadowDigest{
+                        head, cdc::signature_of(content, {}), "ws"}));
+    } else {
+      append(store,
+             journal::body_of(journal::ShadowCached{head, content, "ws"}));
+    }
+  }
+  persist::DurableStore store(&disk);
+  server::ServerConfig sc;
+  server::ShadowServer server(sc, nullptr, &store);
+  ASSERT_TRUE(server.recover_from_storage().ok());
+  ASSERT_EQ(server.stats().recovered_records, 2u);
+  EXPECT_EQ(server.domains().cache_key(y), "d/1");
+  EXPECT_NE(server.domains().cache_key(x), "d/1")
+      << "x's job would read y's bytes";
+}
+
+TEST(PersistTest, RecoveryBindsDigestRecordIdsBeforeJobs) {
+  expect_distinct_ids_after_recovery(/*digest=*/true);
+}
+
+TEST(PersistTest, RecoveryBindsCachedRecordIdsBeforeJobs) {
+  expect_distinct_ids_after_recovery(/*digest=*/false);
 }
 
 TEST(PersistTest, PopulatedSnapshotTruncationsFailCleanly) {
@@ -289,6 +410,31 @@ TEST_F(PersistE2E, ServerSnapshotPreservesReverseShadowGenerations) {
   ASSERT_TRUE(client_->job_done(t2.value()));
   EXPECT_EQ(server_->stats().output_delta_hits, 1u);
   EXPECT_EQ(client_->stats().output_nacks_sent, 0u);
+}
+
+TEST_F(PersistE2E, LiveServerSnapshotIsAFixedPoint) {
+  // A snapshot of a server that really served a session (a cached file,
+  // a delivered job, a reverse-shadow output) restores to the same bytes.
+  server_config_.reverse_shadow = true;
+  start_server();
+  start_client();
+  ASSERT_TRUE(editor_->create("/home/user/f", core::make_file(20'000, 3))
+                  .ok());
+  ASSERT_TRUE(editor_->create("/home/user/g", core::make_file(3'000, 4))
+                  .ok());
+  client::ShadowClient::SubmitOptions job;
+  job.files = {"/home/user/f", "/home/user/g"};
+  job.command_file = "sort f\n";
+  job.output_path = "/home/user/out";
+  job.error_path = "/home/user/err";
+  auto t1 = client_->submit(job);
+  ASSERT_TRUE(t1.ok());
+  net::pump(pair_);
+  ASSERT_TRUE(client_->job_done(t1.value()));
+
+  const Bytes snapshot = server_->save_state();
+  start_server(&snapshot);
+  EXPECT_EQ(server_->save_state(), snapshot);
 }
 
 }  // namespace

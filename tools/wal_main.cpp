@@ -5,11 +5,13 @@
 //
 // Reads <dir>/journal.wal (and with --snapshot, <dir>/snapshot.bin) the
 // way a recovering server would: scans the CRC-framed record stream,
-// prints every intact record with a best-effort decode of its body, and
-// reports exactly where — and why — a damaged tail ends the valid prefix.
-// Exit 0 when both files are clean, 1 when damage was found (the files
-// are still recoverable; damage means a truncated tail, not a loss of
-// acked state), 2 on usage errors.
+// prints every field of every intact record through the server's record
+// codec (server/journal_records.hpp), and reports exactly where — and
+// why — a damaged tail ends the valid prefix. --snapshot lists the
+// snapshot's records the same way. Exit 0 when both files are clean, 1
+// when damage was found or a record does not decode (printed as
+// UNDECODABLE; the files are still recoverable — damage means a
+// truncated tail, not a loss of acked state), 2 on usage errors.
 //
 // --selftest runs a miniature crash matrix (core/crash.hpp): the mixed
 // edit+submit workload is killed at every storage write point and must
@@ -19,106 +21,57 @@
 #include <cstring>
 #include <string>
 
-#include "cdc/signature.hpp"
 #include "core/crash.hpp"
-#include "job/queue.hpp"
-#include "naming/file_id.hpp"
 #include "persist/durable_store.hpp"
 #include "persist/storage.hpp"
 #include "persist/wal.hpp"
+#include "server/journal_records.hpp"
 #include "util/logging.hpp"
 
 using namespace shadow;
+namespace journal = server::journal;
 
 namespace {
 
-/// Best-effort one-line body decode per record type; falls back to the
-/// raw size when the body does not parse (e.g. a future schema).
-std::string describe_body(const persist::JournalRecord& record) {
-  BufReader r(record.body);
-  char buf[256];
-  switch (record.type) {
-    case persist::RecordType::kShadowCached: {
-      auto id = naming::GlobalFileId::decode(r);
-      if (!id.ok()) break;
-      auto key = r.get_string();
-      auto version = r.get_varint();
-      auto crc = r.get_u32();
-      auto content = r.get_string();
-      if (!key.ok() || !version.ok() || !crc.ok() || !content.ok()) break;
-      std::snprintf(buf, sizeof(buf), "%s v%llu crc=%08x %zu bytes",
-                    key.value().c_str(),
-                    static_cast<unsigned long long>(version.value()),
-                    crc.value(), content.value().size());
-      return buf;
-    }
-    case persist::RecordType::kShadowEvicted: {
-      auto key = r.get_string();
-      if (!key.ok()) break;
-      return key.value();
-    }
-    case persist::RecordType::kJobSubmitted: {
-      auto job = job::decode_job_record(r);
-      if (!job.ok()) break;
-      std::snprintf(buf, sizeof(buf),
-                    "job %llu client=%s token=%llu files=%zu",
-                    static_cast<unsigned long long>(job.value().job_id),
-                    job.value().client_name.c_str(),
-                    static_cast<unsigned long long>(
-                        job.value().client_job_token),
-                    job.value().files.size());
-      return buf;
-    }
-    case persist::RecordType::kJobStarted:
-    case persist::RecordType::kJobDelivered: {
-      auto job_id = r.get_varint();
-      if (!job_id.ok()) break;
-      std::snprintf(buf, sizeof(buf), "job %llu",
-                    static_cast<unsigned long long>(job_id.value()));
-      return buf;
-    }
-    case persist::RecordType::kJobFinished: {
-      auto job_id = r.get_varint();
-      auto state = r.get_u8();
-      auto exit_code = r.get_varint_signed();
-      if (!job_id.ok() || !state.ok() || !exit_code.ok()) break;
-      std::snprintf(buf, sizeof(buf), "job %llu exit=%lld",
-                    static_cast<unsigned long long>(job_id.value()),
-                    static_cast<long long>(exit_code.value()));
-      return buf;
-    }
-    case persist::RecordType::kOutputStored: {
-      auto sig = r.get_string();
-      auto generation = r.get_varint();
-      if (!sig.ok() || !generation.ok()) break;
-      std::snprintf(buf, sizeof(buf), "%s gen=%llu", sig.value().c_str(),
-                    static_cast<unsigned long long>(generation.value()));
-      return buf;
-    }
-    case persist::RecordType::kShadowDigest: {
-      auto id = naming::GlobalFileId::decode(r);
-      if (!id.ok()) break;
-      auto key = r.get_string();
-      auto version = r.get_varint();
-      auto crc = r.get_u32();
-      auto sig = cdc::Signature::decode(r);
-      if (!key.ok() || !version.ok() || !crc.ok() || !sig.ok()) break;
-      std::snprintf(buf, sizeof(buf),
-                    "%s v%llu crc=%08x %zu chunks (%llu bytes described)",
-                    key.value().c_str(),
-                    static_cast<unsigned long long>(version.value()),
-                    crc.value(), sig.value().chunks.size(),
-                    static_cast<unsigned long long>(
-                        sig.value().total_bytes()));
-      return buf;
-    }
+/// Long listings keep their first and last ten records unless --verbose.
+struct Listing {
+  std::size_t total = 0;
+  bool verbose = false;
+
+  bool shown(std::size_t i) const {
+    return verbose || total <= 20 || i < 10 || i + 10 >= total;
   }
-  std::snprintf(buf, sizeof(buf), "%zu bytes", record.body.size());
-  return buf;
+  void note_elided(std::size_t i) const {
+    if (i == 10) std::printf("  ... %zu more (use --verbose)\n", total - 20);
+  }
+};
+
+/// Describe record `i` (read from `in`) and print it if the listing shows
+/// it. A journal record's reader holds just its body, which must decode to
+/// the last byte; a snapshot's records are unframed and end where their
+/// decode does. An UNDECODABLE record is always printed; returns false
+/// for one.
+bool print_record(const Listing& listing, std::size_t i, u64 offset,
+                  persist::RecordType type, BufReader& in, bool framed) {
+  auto text = journal::describe(type, in);
+  if (text.ok() && framed && !in.at_end()) {
+    text = Error{ErrorCode::kProtocolError, "trailing bytes in record"};
+  }
+  if (text.ok() && !listing.shown(i)) {
+    listing.note_elided(i);
+    return true;
+  }
+  std::printf("  #%-4zu @%-8llu %-14s %s\n", i,
+              static_cast<unsigned long long>(offset),
+              persist::record_type_name(type),
+              text.ok() ? text.value().c_str()
+                        : ("UNDECODABLE (" + text.error().to_string() + ")")
+                              .c_str());
+  return text.ok();
 }
 
 /// Returns true when the journal is clean (header ok or absent, no torn
-/// tail).
+/// tail, every record decodes).
 bool inspect_journal(persist::StorageDir& dir, bool verbose) {
   if (!dir.exists(persist::DurableStore::kJournalName)) {
     std::printf("journal: (absent)\n");
@@ -134,20 +87,14 @@ bool inspect_journal(persist::StorageDir& dir, bool verbose) {
               static_cast<unsigned long long>(scan.total_bytes),
               scan.header_ok ? "ok" : "MISSING/FOREIGN",
               scan.records.size());
+  const Listing listing{scan.records.size(), verbose};
+  bool decoded = true;
   for (std::size_t i = 0; i < scan.records.size(); ++i) {
     const auto& record = scan.records[i];
-    if (!verbose && scan.records.size() > 20 && i >= 10 &&
-        i + 10 < scan.records.size()) {
-      if (i == 10) {
-        std::printf("  ... %zu more (use --verbose)\n",
-                    scan.records.size() - 20);
-      }
-      continue;
-    }
-    std::printf("  #%-4zu @%-8llu %-14s %s\n", i,
-                static_cast<unsigned long long>(record.offset),
-                persist::record_type_name(record.type),
-                describe_body(record).c_str());
+    BufReader in(record.body);
+    decoded = print_record(listing, i, record.offset, record.type, in,
+                           /*framed=*/true) &&
+              decoded;
   }
   if (scan.torn) {
     std::printf("  TORN TAIL at offset %llu: %s (%llu bytes would be "
@@ -157,10 +104,13 @@ bool inspect_journal(persist::StorageDir& dir, bool verbose) {
                 static_cast<unsigned long long>(scan.total_bytes -
                                                 scan.valid_bytes));
   }
-  return scan.header_ok ? !scan.torn : scan.total_bytes == 0;
+  return decoded &&
+         (scan.header_ok ? !scan.torn : scan.total_bytes == 0);
 }
 
-bool inspect_snapshot(persist::StorageDir& dir) {
+/// Returns true when the snapshot is absent, or intact and every record
+/// decodes.
+bool inspect_snapshot(persist::StorageDir& dir, bool verbose) {
   if (!dir.exists(persist::DurableStore::kSnapshotName)) {
     std::printf("snapshot: (absent)\n");
     return true;
@@ -178,8 +128,41 @@ bool inspect_snapshot(persist::StorageDir& dir) {
                 raw.value().size(), state.error().to_string().c_str());
     return false;
   }
+  const Bytes& bytes = state.value();
   std::printf("snapshot: %zu bytes wrapped, %zu bytes of state, crc ok\n",
-              raw.value().size(), state.value().size());
+              raw.value().size(), bytes.size());
+  BufReader in(bytes);
+  auto header = journal::SnapshotHeader::decode(in);
+  if (!header.ok()) {
+    std::printf("  UNDECODABLE header (%s): recovery would replay the "
+                "journal alone\n",
+                header.error().to_string().c_str());
+    return false;
+  }
+  std::printf("  shard %llu/%llu, %llu records\n",
+              static_cast<unsigned long long>(header.value().shard_id),
+              static_cast<unsigned long long>(header.value().shard_count),
+              static_cast<unsigned long long>(header.value().records));
+  const Listing listing{header.value().records, verbose};
+  for (std::size_t i = 0; i < header.value().records; ++i) {
+    const u64 offset = in.position();
+    auto type = journal::get_snapshot_record_type(in);
+    if (!type.ok()) {
+      std::printf("  #%-4zu @%-8llu UNDECODABLE (%s)\n", i,
+                  static_cast<unsigned long long>(offset),
+                  type.error().to_string().c_str());
+      return false;
+    }
+    if (!print_record(listing, i, offset, type.value(), in,
+                      /*framed=*/false)) {
+      return false;
+    }
+  }
+  if (!in.at_end()) {
+    std::printf("  UNDECODABLE: %zu trailing bytes after the last record\n",
+                in.remaining());
+    return false;
+  }
   return true;
 }
 
@@ -270,6 +253,6 @@ int main(int argc, char** argv) {
 
   persist::FsDir dir(dir_path);
   bool clean = inspect_journal(dir, verbose);
-  if (want_snapshot) clean = inspect_snapshot(dir) && clean;
+  if (want_snapshot) clean = inspect_snapshot(dir, verbose) && clean;
   return clean ? 0 : 1;
 }
