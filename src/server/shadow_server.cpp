@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 #include "proto/admin.hpp"
 #include "telemetry/registry.hpp"
 #include "util/crc32.hpp"
@@ -122,13 +118,6 @@ void ShadowServer::maybe_compact_persist() {
 
 void ShadowServer::compact_persist() {
   Status cs = store_->compact(save_state());
-#ifdef __GLIBC__
-  // The snapshot and its wrapped copy are each the size of the whole
-  // state. glibc's dynamic mmap threshold can leave such buffers in the
-  // heap once freed, and whether it does turns on their exact sizes; an
-  // explicit trim keeps resident memory at the state, not at its peak.
-  malloc_trim(0);
-#endif
   if (cs.ok()) {
     ++stats_.compactions;
     record_event(telemetry::EventKind::kJournal, "journal compacted");

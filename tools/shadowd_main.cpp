@@ -236,6 +236,11 @@ int main(int argc, char** argv) {
   // glibc would give each shard thread a malloc arena beside the main
   // thread's, which grew a one-shard daemon's resident memory by a third.
   ::mallopt(M_ARENA_MAX, static_cast<int>(threads));
+  // A compaction builds the whole snapshot in memory twice (the state and
+  // its CRC-wrapped copy). With a fixed mmap threshold such buffers are
+  // mapped, and unmapped when freed; glibc's dynamic threshold could leave
+  // them resident in the heap, depending on their exact sizes.
+  ::mallopt(M_MMAP_THRESHOLD, 1 << 20);
 #endif
 
   std::vector<std::unique_ptr<persist::FsDir>> shard_fs;
