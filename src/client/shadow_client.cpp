@@ -37,7 +37,6 @@ struct ClientMetrics {
   telemetry::Counter& cdc_sent;
   telemetry::Counter& pulls_received;
   telemetry::Counter& acks_received;
-  telemetry::Counter& nack_full_resends;
   telemetry::Counter& session_resyncs;
   telemetry::Counter& lost_job_resubmits;
   telemetry::Counter& outputs_received;
@@ -58,7 +57,6 @@ struct ClientMetrics {
                            r.counter("client.cdc_sent"),
                            r.counter("client.pulls_received"),
                            r.counter("client.acks_received"),
-                           r.counter("client.nack_full_resends"),
                            r.counter("client.session_resyncs"),
                            r.counter("client.lost_job_resubmits"),
                            r.counter("client.outputs_received"),
@@ -247,8 +245,7 @@ std::size_t ShadowClient::tick() {
 std::size_t ShadowClient::heartbeat() {
   std::size_t sent = 0;
   for (auto& [server_name, session] : sessions_) {
-    // A v0 server would log "unexpected message type" at every beat.
-    if (!session.hello_done || session.server_protocol < 1) continue;
+    if (!session.hello_done) continue;
     proto::Heartbeat beat;
     beat.client_time_us = sim_ != nullptr ? sim_->now() : steady_micros();
     ++stats_.heartbeats_sent;
@@ -267,9 +264,9 @@ bool ShadowClient::backing_off(const std::string& server) const {
   return false;
 }
 
-u32 ShadowClient::server_protocol(const std::string& server) const {
+bool ShadowClient::hello_done(const std::string& server) const {
   auto it = sessions_.find(server.empty() ? env_.default_server : server);
-  return it == sessions_.end() ? 0 : it->second.server_protocol;
+  return it != sessions_.end() && it->second.hello_done;
 }
 
 void ShadowClient::arm_census_retry(Session* session) {
@@ -334,9 +331,7 @@ void ShadowClient::on_message(Session* session, Bytes wire) {
 
 void ShadowClient::handle(Session* session, const proto::HelloReply& m) {
   session->hello_done = true;
-  session->server_protocol = m.protocol_version;
   // Negotiated codec set: what we offered AND what the server announced.
-  // A v0 reply carries no codecs field and decodes as kLegacyCodecs.
   session->codecs = m.codecs & offered_codecs();
   // The server accepted the session: any pending Hello retry is obsolete
   // and the shed-work backoff starts over.
@@ -616,25 +611,10 @@ void ShadowClient::handle(Session* session, const proto::UpdateAck& m) {
   ++stats_.acks_received;
   ClientMetrics::get().acks_received.add();
   if (!m.ok) {
-    // An older server could not apply our update (corrupt payload, wrong
-    // base — a desync); current servers re-pull instead of nacking. Forget
-    // what it holds and resend the newest version as full content: delta
-    // sync must degrade to a full-file transfer, never to a corrupt shadow
-    // copy (§5.1).
-    SHADOW_WARN() << name_ << ": server failed to apply update v"
-                  << m.version << " of " << m.file.display() << ": "
-                  << m.error << "; resending full";
-    session->server_has.erase(m.file.key());
-    session->cdc_files.erase(m.file.key());
-    const auto latest = versions_.chain(m.file.key()).latest_number();
-    if (latest) {
-      ++stats_.nack_full_resends;
-      ClientMetrics::get().nack_full_resends.add();
-      Status st = send_update(session, m.file, 0, *latest);
-      if (!st.ok()) {
-        SHADOW_WARN() << name_ << ": full resend failed: " << st.to_string();
-      }
-    }
+    // No server nacks an Update (it re-pulls what it cannot use), so this
+    // ack is refused outside input: it moves nothing, GCs nothing.
+    SHADOW_WARN() << name_ << ": ignoring refused ack of v" << m.version
+                  << " of " << m.file.display() << ": " << m.error;
     return;
   }
   session->server_has[m.file.key()] = m.version;

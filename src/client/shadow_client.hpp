@@ -42,7 +42,6 @@ struct ClientStats {
   u64 output_delta_applied = 0;  // reverse-shadow deltas applied
   u64 output_nacks_sent = 0;
   u64 session_resyncs = 0;    // desyncs detected by the reliable session
-  u64 nack_full_resends = 0;  // full-content resends after an UpdateAck nack
   u64 lost_job_resubmits = 0;  // acked jobs a restarted server had lost
   u64 server_busy = 0;         // ServerBusy replies received
   u64 busy_retries = 0;        // Hellos/submits re-sent after backoff
@@ -93,19 +92,18 @@ class ShadowClient {
   /// call this when traffic stalls. Returns the number of frames resent.
   std::size_t tick();
 
-  /// Renew this client's session lease on every connected server that
-  /// negotiated protocol v1 (explicit Heartbeat; any other traffic also
-  /// renews). Poll-driven hosts call this on a timer well inside the
-  /// server's --lease-usec. Returns the number of heartbeats sent.
+  /// Renew this client's session lease on every server that has answered
+  /// its Hello (explicit Heartbeat; any other traffic also renews).
+  /// Poll-driven hosts call this on a timer well inside the server's
+  /// --lease-usec. Returns the number of heartbeats sent.
   std::size_t heartbeat();
 
   /// True while a ServerBusy from `server` has a retry pending (the
   /// session is backing off rather than failed). "" = any server.
   bool backing_off(const std::string& server = "") const;
 
-  /// Protocol version `server` announced in its HelloReply (0 before the
-  /// handshake or for a legacy server).
-  u32 server_protocol(const std::string& server) const;
+  /// True once `server` answered our Hello with a HelloReply.
+  bool hello_done(const std::string& server) const;
 
   /// The reliable session to `server` (nullptr when not connected or when
   /// the session layer is off) — diagnostics and tests.
@@ -191,12 +189,8 @@ class ShadowClient {
     /// Version the server acknowledged holding, per file key
     /// (request-driven mode pushes deltas against this).
     std::map<std::string, u64> server_has;
-    /// From HelloReply; a v0 server never sends ServerBusy and would not
-    /// understand a Heartbeat.
-    u32 server_protocol = 0;
     /// Delta codecs negotiated with this server (intersection of what we
-    /// offered in Hello and what the HelloReply announced). A v0 peer
-    /// that never sent the field lands on kLegacyCodecs.
+    /// offered in Hello and what the HelloReply announced).
     u32 codecs = proto::kLegacyCodecs;
     /// Files whose last update to this server went as a CDC delta: the
     /// server may hold them as digests only, so stay on the chunk codec

@@ -42,8 +42,8 @@ struct ShadowEnvironment {
   /// adaptability; doubles diff CPU, wins on moves and binary content).
   bool adaptive_diff = false;
   /// Offer the content-defined-chunking codec in the Hello handshake
-  /// (docs/DELTAS.md). Off = the legacy two-codec client, byte-identical
-  /// on the wire to pre-CDC builds.
+  /// (docs/DELTAS.md). Off = the client offers only the two line codecs
+  /// (kLegacyCodecs), and no pull to it carries a codec hint.
   bool cdc = true;
   /// CDC crossover: files at least this big always go as chunk deltas
   /// (text included — past this size chunk matching beats line diffing

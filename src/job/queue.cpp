@@ -34,7 +34,8 @@ struct JobMetrics {
 }  // namespace
 
 u64 JobQueue::add(JobRecord record) {
-  record.job_id = next_id_++;
+  record.job_id = next_id_;
+  next_id_ += stride_;
   record.state = proto::JobState::kQueued;
   const u64 id = record.job_id;
   jobs_.emplace(id, std::move(record));
@@ -145,7 +146,7 @@ void JobQueue::restore_record(JobRecord job) {
   if (id == 0 || jobs_.count(id) != 0) return;  // already in snapshot
   jobs_.emplace(id, std::move(job));
   JobMetrics::get().restored.add();
-  if (id >= next_id_) next_id_ = id + 1;
+  if (id >= next_id_) next_id_ = (id / stride_ + 1) * stride_ + shard_id_;
 }
 
 std::size_t JobQueue::active_count() const {

@@ -50,8 +50,21 @@ struct JobRecord {
   u64 retries = 0;
 };
 
+/// The shard of `shard_count` that numbered `job_id` (see JobQueue).
+inline u64 shard_of_job(u64 job_id, u64 shard_count) {
+  return shard_count > 1 ? job_id % shard_count : 0;
+}
+
 class JobQueue {
  public:
+  /// Ids are seq * shard_count + shard_id with seq from 1, so the shards
+  /// of a sharded server never hand out the same id and every id names
+  /// its shard. One shard numbers 1, 2, 3, ...
+  explicit JobQueue(u64 shard_id = 0, u64 shard_count = 1)
+      : stride_(shard_count == 0 ? 1 : shard_count),
+        shard_id_(shard_id),
+        next_id_(stride_ + shard_id) {}
+
   /// Register a new job in kQueued state; returns its id.
   u64 add(JobRecord record);
 
@@ -86,14 +99,16 @@ class JobQueue {
 
   /// Replay (journal or snapshot): insert a job if (and only if) it is
   /// not already present — records older than the snapshot replay as
-  /// no-ops — and move the id counter past it.
+  /// no-ops — and move the id counter past it, keeping the shard's ids.
   void restore_record(JobRecord job);
 
  private:
   static bool valid_transition(proto::JobState from, proto::JobState to);
 
   std::map<u64, JobRecord> jobs_;
-  u64 next_id_ = 1;
+  u64 stride_;
+  u64 shard_id_;
+  u64 next_id_;
 };
 
 }  // namespace shadow::job

@@ -10,9 +10,8 @@ namespace shadow::persist {
 namespace {
 // Durability telemetry summed over every DurableStore (per-store numbers
 // stay in DurableStoreStats). persist.fsyncs counts successful sync()
-// returns; persist.append_failures counts append()/append_deferred()
-// calls that returned an error at any stage (the record is NOT durable
-// and must not be acked).
+// returns; persist.append_failures counts append_deferred() calls whose
+// write was refused (the record is NOT durable and must not be acked).
 //
 // Group-commit accounting keeps one identity the telemetry suite asserts:
 //   group_records == group_flushed_records + group_failed_records
@@ -108,15 +107,8 @@ Status DurableStore::write_framed(const Bytes& framed) {
 }
 
 Status DurableStore::append(RecordType type, const Bytes& body) {
-  PersistMetrics& metrics = PersistMetrics::get();
-  Status st = [&]() -> Status {
-    SHADOW_TRY(write_framed(frame_record(type, body)));
-    SHADOW_TRY(journal_->sync());
-    metrics.fsyncs.add();
-    return Status();
-  }();
-  if (!st.ok()) metrics.append_failures.add();
-  return st;
+  SHADOW_TRY(append_deferred(type, body, nullptr));
+  return flush();
 }
 
 Status DurableStore::append_deferred(RecordType type, const Bytes& body,

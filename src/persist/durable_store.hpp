@@ -2,13 +2,12 @@
 // an atomically replaced snapshot, over any StorageDir. The contract the
 // crash matrix enforces:
 //
-//   * append() returns OK only after the record is framed, written and
-//     fsynced — the caller may then acknowledge the mutation to a client;
-//   * append_deferred() writes the record immediately but defers the
-//     durability promise: the commit callback fires (with OK) only after
-//     a later flush() has fsynced the whole batch, or (with the error)
-//     when that fsync fails — in which case EVERY callback in the batch
-//     fails together, never a partial release;
+//   * append_deferred() is the one write path: it writes the record
+//     immediately but defers the durability promise. The commit callback
+//     fires (with OK) only after a later flush() has fsynced the whole
+//     batch, or (with the error) when that fsync fails — in which case
+//     EVERY callback in the batch fails together, never a partial
+//     release — and from then on every append fails fast (fail-stop);
 //   * compact() writes the snapshot atomically BEFORE truncating the
 //     journal, so a crash between the two leaves snapshot + stale journal,
 //     which replays idempotently;
@@ -17,13 +16,13 @@
 //     tail is truncated, never trusted — damage is recovered from, not
 //     reported as an error.
 //
-// Group commit (docs/DURABILITY.md): append_deferred() is the one path
-// the server journals through. Records from many connections accumulate
-// in one open batch; flush() fsyncs it once and releases its callbacks
-// together in append order. The owner flushes once per event-loop pass;
-// the batch also seals itself at either cap, so max_batch_records == 1
-// is the sync-per-record reference — same write sequence as append(),
-// callback resolved before append_deferred() returns.
+// Group commit (docs/DURABILITY.md): records from many connections
+// accumulate in one open batch; flush() fsyncs it once and releases its
+// callbacks together in append order. The owner flushes once per
+// event-loop pass; the batch also seals itself at either cap, so
+// max_batch_records == 1 is the sync-per-record reference, its callback
+// resolved before append_deferred() returns. append() is that path
+// followed by flush(), for callers that want one fsync per record.
 //
 // Threading: owner-thread-only; the store has no thread of its own.
 #pragma once
@@ -83,8 +82,9 @@ class DurableStore {
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
-  /// Frame, append and fsync one record. On any failure the record must
-  /// be considered NOT durable (do not acknowledge).
+  /// append_deferred() with no callback, then flush(): OK only once the
+  /// record (and the batch it joined) is fsynced. On any failure the
+  /// record must be considered NOT durable (do not acknowledge).
   Status append(RecordType type, const Bytes& body);
 
   /// Set the seal caps. Call before the first append_deferred().

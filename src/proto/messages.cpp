@@ -84,7 +84,6 @@ namespace {
 void encode_body(const Hello& m, BufWriter& w) {
   w.put_string(m.client_name);
   w.put_string(m.domain);
-  // Trailing, optional on decode: a legacy frame simply ends here.
   w.put_varint(m.protocol_version);
   w.put_varint(m.codecs);
 }
@@ -239,42 +238,40 @@ void encode_body(const AdminReply& m, BufWriter& w) {
 
 // ---- per-message body decoders ----
 
+// Hello and HelloReply end in (protocol_version, codecs). A frame that
+// ends before them comes from a pre-v1 peer, which this build refuses.
+Status require_v1_fields(BufReader& r, const char* what) {
+  if (r.at_end()) {
+    return Error{ErrorCode::kProtocolError,
+                 std::string(what) +
+                     " without protocol version and codecs (a pre-v1 peer)"};
+  }
+  return Status();
+}
+
 Result<Hello> decode_hello(BufReader& r) {
   Hello m;
   SHADOW_ASSIGN_OR_RETURN(client_name, r.get_string());
   SHADOW_ASSIGN_OR_RETURN(domain, r.get_string());
+  SHADOW_TRY(require_v1_fields(r, "Hello"));
+  SHADOW_ASSIGN_OR_RETURN(version, r.get_varint());
+  SHADOW_ASSIGN_OR_RETURN(codecs, r.get_varint());
   m.client_name = std::move(client_name);
   m.domain = std::move(domain);
-  // Version negotiation: frames from a pre-v1 peer end here.
-  m.protocol_version = 0;
-  m.codecs = kLegacyCodecs;
-  if (!r.at_end()) {
-    SHADOW_ASSIGN_OR_RETURN(version, r.get_varint());
-    m.protocol_version = static_cast<u32>(version);
-  }
-  // Codec capabilities: frames from a pre-CDC peer end here, which
-  // implies the legacy ed-script + block-move pair.
-  if (!r.at_end()) {
-    SHADOW_ASSIGN_OR_RETURN(codecs, r.get_varint());
-    m.codecs = static_cast<u32>(codecs);
-  }
+  m.protocol_version = static_cast<u32>(version);
+  m.codecs = static_cast<u32>(codecs);
   return m;
 }
 
 Result<HelloReply> decode_hello_reply(BufReader& r) {
   HelloReply m;
   SHADOW_ASSIGN_OR_RETURN(server_name, r.get_string());
+  SHADOW_TRY(require_v1_fields(r, "HelloReply"));
+  SHADOW_ASSIGN_OR_RETURN(version, r.get_varint());
+  SHADOW_ASSIGN_OR_RETURN(codecs, r.get_varint());
   m.server_name = std::move(server_name);
-  m.protocol_version = 0;
-  m.codecs = kLegacyCodecs;
-  if (!r.at_end()) {
-    SHADOW_ASSIGN_OR_RETURN(version, r.get_varint());
-    m.protocol_version = static_cast<u32>(version);
-  }
-  if (!r.at_end()) {
-    SHADOW_ASSIGN_OR_RETURN(codecs, r.get_varint());
-    m.codecs = static_cast<u32>(codecs);
-  }
+  m.protocol_version = static_cast<u32>(version);
+  m.codecs = static_cast<u32>(codecs);
   return m;
 }
 

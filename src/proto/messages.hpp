@@ -71,19 +71,16 @@ const char* job_state_name(JobState state);
 
 // ---- session ----
 
-/// Shadow protocol revision spoken by this build. Version 0 is the
-/// pre-overload-control wire format; version 1 adds ServerBusy, Heartbeat
-/// and the trailing version fields on Hello/HelloReply. Both fields are
-/// OPTIONAL on the wire (absent = 0), so either end can talk to a legacy
-/// peer: a v1 client only sends Heartbeats to a server that announced
-/// v1 back, and a v1 server never sends ServerBusy to a v0 client — it
-/// falls back to the v0 behaviours (silent close / SubmitReply reject).
+/// Shadow protocol revision spoken by this build. Hello and HelloReply
+/// always end in (protocol_version, codecs); a frame without them comes
+/// from a pre-v1 peer and fails to decode, and the server's lobby closes
+/// that connection.
 inline constexpr u32 kShadowProtocolVersion = 1;
 
-// Delta-codec capability bits exchanged at Hello (docs/DELTAS.md). A
-// frame that ends before the codec mask — any pre-CDC peer — implies the
-// legacy pair, so negotiation degrades transparently: the intersection of
-// both masks never includes CDC unless both ends advertise it.
+// Delta-codec capability bits exchanged at Hello (docs/DELTAS.md). The
+// intersection of both masks never includes CDC unless both ends
+// advertise it. kLegacyCodecs is the no-CDC set: what a --no-cdc server
+// or a `cdc off` client offers.
 inline constexpr u32 kCodecEdScript = 1u << 0;
 inline constexpr u32 kCodecBlockMove = 1u << 1;
 inline constexpr u32 kCodecCdc = 1u << 2;
@@ -93,13 +90,13 @@ inline constexpr u32 kAllCodecs = kLegacyCodecs | kCodecCdc;
 struct Hello {
   std::string client_name;  // client host identity
   std::string domain;       // client's naming domain id
-  u32 protocol_version = kShadowProtocolVersion;  // 0 = legacy peer
+  u32 protocol_version = kShadowProtocolVersion;
   u32 codecs = kAllCodecs;  // delta codecs the client can produce
 };
 
 struct HelloReply {
   std::string server_name;
-  u32 protocol_version = kShadowProtocolVersion;  // 0 = legacy peer
+  u32 protocol_version = kShadowProtocolVersion;
   u32 codecs = kAllCodecs;  // delta codecs the server accepts
 };
 
@@ -160,9 +157,9 @@ struct Update {
 };
 
 /// Server -> client: cache now holds `version`; older client-side versions
-/// may be garbage-collected. This server never sends ok=false: it answers
-/// an Update it cannot use with a full re-pull instead. Older servers
-/// nack (ok=false), and the client then resends the file in full.
+/// may be garbage-collected. No server sends ok=false: it answers an
+/// Update it cannot use with a full re-pull instead. The field stays on
+/// the wire; a client logs and drops an ack with ok=false.
 struct UpdateAck {
   naming::GlobalFileId file;
   u64 version = 0;

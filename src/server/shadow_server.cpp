@@ -40,7 +40,8 @@ ShadowServer::ShadowServer(ServerConfig config, sim::Simulator* simulator,
       sim_(simulator),
       store_(store),
       load_monitor_(config_.load, simulator),
-      cache_(config_.cache_budget, config_.eviction) {}
+      cache_(config_.cache_budget, config_.eviction),
+      queue_(config_.shard_id, config_.shard_count) {}
 
 ShadowServer::~ShadowServer() {
   // Deferred commit callbacks capture `this`; a batch still staged at
@@ -314,9 +315,6 @@ const char* ShadowServer::admission_refusal() const {
 
 void ShadowServer::send_busy(Connection* conn, u64 client_job_token,
                              const std::string& reason) {
-  // Legacy peers would log "unexpected message type" and learn nothing;
-  // silence preserves their pre-overload-control behaviour exactly.
-  if (conn->protocol_version < 1) return;
   proto::ServerBusy busy;
   busy.retry_after_usec = config_.overload.retry_after_usec;
   busy.client_job_token = client_job_token;
@@ -330,10 +328,10 @@ void ShadowServer::begin_drain() {
   draining_ = true;
   record_event(telemetry::EventKind::kServer,
                config_.name + " draining: refusing new work");
-  // One notice per live v1 session: back off and come back elsewhere /
+  // One notice per live session: back off and come back elsewhere /
   // later. In-flight acks still flow; only NEW work is refused.
   for (auto& conn : connections_) {
-    if (conn->doomed || conn->protocol_version < 1) continue;
+    if (conn->doomed) continue;
     ++stats_.drain_notices;
     send_busy(conn.get(), 0, "server draining");
   }
@@ -467,8 +465,12 @@ void ShadowServer::send_to(const std::string& client_name,
   send(it->second, m);
 }
 
-void ShadowServer::deliver_to_client(const std::string& client_name,
-                                     const proto::Message& m) {
+void ShadowServer::deliver_routed(const std::string& client_name,
+                                  const proto::Message& m) {
+  if (const auto* ack = std::get_if<proto::JobOutputAck>(&m)) {
+    settle_output_ack(client_name, *ack);
+    return;
+  }
   auto it = clients_.find(client_name);
   if (it == clients_.end()) {
     SHADOW_WARN() << config_.name << ": routed message for unknown client "
@@ -530,19 +532,16 @@ ShadowServer::FileState& ShadowServer::file_state(
 }
 
 void ShadowServer::handle(Connection* conn, const proto::Hello& m) {
-  conn->protocol_version = m.protocol_version;
   // Codec negotiation (docs/DELTAS.md): remember the intersection of what
-  // the client can produce and what this server accepts. Legacy frames
-  // decoded with kLegacyCodecs, so CDC is never in the intersection
-  // unless both ends advertise it.
+  // the client can produce and what this server accepts, so CDC is never
+  // in it unless both ends advertise it.
   const u32 server_codecs =
       config_.cdc_enabled ? proto::kAllCodecs : proto::kLegacyCodecs;
   conn->codecs = m.codecs & server_codecs;
   // Admission control at the door: a draining server takes no new
   // sessions, and a full shard sheds rather than degrading everyone.
   // The transport stays attached — the client backs off (retry_after)
-  // and retries its Hello on the same or a fresh connection. Legacy (v0)
-  // clients predate ServerBusy; they are never shed, only drained.
+  // and retries its Hello on the same or a fresh connection.
   const bool returning = clients_.count(m.client_name) != 0;
   if (draining_) {
     ++stats_.busy_rejects;
@@ -551,8 +550,7 @@ void ShadowServer::handle(Connection* conn, const proto::Hello& m) {
     send_busy(conn, 0, "server draining");
     return;
   }
-  if (!returning && m.protocol_version >= 1 &&
-      config_.overload.max_connections != 0 &&
+  if (!returning && config_.overload.max_connections != 0 &&
       clients_.size() >= config_.overload.max_connections) {
     ++stats_.busy_rejects;
     record_event(telemetry::EventKind::kServer,
@@ -947,17 +945,7 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
     record_event(telemetry::EventKind::kJob,
                  "submit shed (" + std::string(refusal) + ") from " +
                      conn->client_name);
-    if (conn->protocol_version >= 1) {
-      send_busy(conn, m.client_job_token, refusal);
-    } else {
-      // Legacy clients understand only SubmitReply; refuse the old way.
-      proto::SubmitReply reject;
-      reject.client_job_token = m.client_job_token;
-      reject.job_id = 0;
-      reject.accepted = false;
-      reject.reason = refusal;
-      send(conn, reject);
-    }
+    send_busy(conn, m.client_job_token, refusal);
     return;
   }
   // Admission control: a saturated batch queue refuses new work rather
@@ -1289,6 +1277,17 @@ void ShadowServer::handle(Connection* conn, const proto::StatusQuery& m) {
 }
 
 void ShadowServer::handle(Connection* conn, const proto::JobOutputAck& m) {
+  // The ack of a routed output arrives on the recipient's shard; the job
+  // lives on the shard its id names.
+  if (job::shard_of_job(m.job_id, config_.shard_count) != config_.shard_id &&
+      peer_router_ != nullptr && peer_router_(conn->client_name, m)) {
+    return;
+  }
+  settle_output_ack(conn->client_name, m);
+}
+
+void ShadowServer::settle_output_ack(const std::string& from_client,
+                                     const proto::JobOutputAck& m) {
   auto found = queue_.find(m.job_id);
   if (!found.ok()) return;
   job::JobRecord& record = *found.value();
@@ -1306,7 +1305,7 @@ void ShadowServer::handle(Connection* conn, const proto::JobOutputAck& m) {
   }
   // Client could not apply the output delta (lost its previous output):
   // resend as full content.
-  SHADOW_DEBUG() << config_.name << ": client " << conn->client_name
+  SHADOW_DEBUG() << config_.name << ": client " << from_client
                  << " nacked output of job " << m.job_id
                  << " (" << m.error << "); resending full";
   deliver_output(record, /*full=*/true);
@@ -1387,7 +1386,7 @@ Status ShadowServer::restore_state(const Bytes& snapshot) {
 void ShadowServer::reset_volatile_state() {
   cache_.clear();
   domains_ = naming::DomainMap();
-  queue_ = job::JobQueue();
+  queue_ = job::JobQueue(config_.shard_id, config_.shard_count);
   files_.clear();
   output_cache_.clear();
   pinned_.clear();

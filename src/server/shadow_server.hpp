@@ -214,11 +214,12 @@ class ShadowServer {
   /// its clients_ entry; per-file state stays — the client may reconnect.
   void detach(net::Transport* transport);
 
-  /// Cross-shard delivery hook: when send_to() finds no local connection
-  /// for a client, the router is offered the message (ShardedServer posts
-  /// it to the client's home shard — the §8.3 output_route case where a
-  /// job's output goes to a different workstation). Return true when the
-  /// message was taken.
+  /// Cross-shard delivery hook, for the §8.3 output_route case where a
+  /// job's output goes to a workstation pinned to a sibling shard. When
+  /// send_to() finds no local connection for a client, the router is
+  /// offered the message (ShardedServer posts it to the client's home
+  /// shard); a JobOutputAck for a job another shard numbered is offered
+  /// too (posted to that shard). Return true when the message was taken.
   using PeerRouteFn =
       std::function<bool(const std::string& client_name,
                          const proto::Message& m)>;
@@ -229,10 +230,11 @@ class ShadowServer {
     return clients_.count(client_name) != 0;
   }
 
-  /// Deliver a message to a locally connected client (the receiving half
-  /// of the peer-router hook; runs on this shard's thread).
-  void deliver_to_client(const std::string& client_name,
-                         const proto::Message& m);
+  /// The receiving half of the peer-router hook, on this shard's thread:
+  /// settle a JobOutputAck that `client_name` sent for one of our jobs,
+  /// or deliver any other message to that locally connected client.
+  void deliver_routed(const std::string& client_name,
+                      const proto::Message& m);
 
   /// Feed one already-received wire message through the normal dispatch
   /// path on behalf of `transport` (which must be attach()ed). The
@@ -328,11 +330,8 @@ class ShadowServer {
     /// Present iff config.reliable_session.
     std::unique_ptr<proto::ReliableChannel> channel;
     std::string client_name;  // empty until Hello
-    /// From the client's Hello; 0 (legacy) clients never receive
-    /// ServerBusy or Heartbeat frames they would not understand.
-    u32 protocol_version = 0;
     /// Delta codecs the client advertised at Hello, intersected with what
-    /// this server accepts. Legacy frames imply ed-script + block-move.
+    /// this server accepts.
     u32 codecs = proto::kLegacyCodecs;
     /// Last traffic/Heartbeat, sim or steady micros (lease bookkeeping).
     u64 lease_renewed_us = 0;
@@ -366,6 +365,9 @@ class ShadowServer {
   void handle(Connection* conn, const proto::SubmitJob& m);
   void handle(Connection* conn, const proto::StatusQuery& m);
   void handle(Connection* conn, const proto::JobOutputAck& m);
+  /// Mark one of our jobs delivered (ok) or resend its output in full.
+  void settle_output_ack(const std::string& from_client,
+                         const proto::JobOutputAck& m);
   void handle(Connection* conn, const proto::AdminQuery& m);
   void handle(Connection* conn, const proto::Heartbeat& m);
 
@@ -421,8 +423,7 @@ class ShadowServer {
   void doom_connection(Connection* conn, const std::string& why);
   /// Budget violated by accepting more work right now, or nullptr.
   const char* admission_refusal() const;
-  /// ServerBusy with the configured retry-after (v1 clients only — the
-  /// caller keeps the legacy fallback for protocol_version 0 peers).
+  /// ServerBusy with the configured retry-after.
   void send_busy(Connection* conn, u64 client_job_token,
                  const std::string& reason);
 

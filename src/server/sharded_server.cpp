@@ -68,7 +68,9 @@ bool ShardedServer::route_to_peer(std::size_t from_shard,
                                   const std::string& client_name,
                                   const proto::Message& m) {
   std::size_t target;
-  {
+  if (const auto* ack = std::get_if<proto::JobOutputAck>(&m)) {
+    target = job::shard_of_job(ack->job_id, shards_.size());
+  } else {
     std::lock_guard<std::mutex> lock(clients_mu_);
     auto it = client_shard_.find(client_name);
     if (it == client_shard_.end()) return false;
@@ -76,13 +78,13 @@ bool ShardedServer::route_to_peer(std::size_t from_shard,
   }
   if (target == from_shard) return false;  // send_to already missed here
   if (target < loops_.size() && !threads_.empty()) {
-    // Hop to the client's home loop; the send happens on its thread.
+    // Hop to the target shard's loop; delivery happens on its thread.
     proto::Message copy = m;
     loops_[target]->post([this, target, client_name, copy = std::move(copy)] {
-      shards_[target]->deliver_to_client(client_name, copy);
+      shards_[target]->deliver_routed(client_name, copy);
     });
   } else {
-    shards_[target]->deliver_to_client(client_name, m);
+    shards_[target]->deliver_routed(client_name, m);
   }
   return true;
 }
@@ -99,8 +101,10 @@ void ShardedServer::route_first_message(net::Transport* transport,
                                         const Bytes& wire) {
   auto decoded = proto::decode_message(wire);
   if (!decoded.ok()) {
-    SHADOW_WARN() << base_.name << ": lobby dropping malformed message: "
-                  << decoded.error().to_string();
+    if (lobby_refuses(wire, decoded.error())) {
+      transport->set_receiver([](Bytes) {});
+      transport->request_close();
+    }
     return;
   }
   if (const auto* hello = std::get_if<proto::Hello>(&decoded.value())) {
@@ -124,6 +128,16 @@ void ShardedServer::route_first_message(net::Transport* transport,
   }
   SHADOW_WARN() << base_.name << ": lobby expected Hello, got "
                 << proto::message_type_name(proto::type_of(decoded.value()));
+}
+
+bool ShardedServer::lobby_refuses(const Bytes& wire, const Error& error) const {
+  const bool hello =
+      !wire.empty() && wire[0] == static_cast<u8>(proto::MessageType::kHello);
+  SHADOW_WARN() << base_.name
+                << (hello ? ": lobby closing connection: "
+                          : ": lobby dropping malformed message: ")
+                << error.to_string();
+  return hello;
 }
 
 std::size_t ShardedServer::tick() {
@@ -230,24 +244,24 @@ std::size_t ShardedServer::poll_lobby() {
     }
     auto decoded = proto::decode_message(conn.inbox.front());
     if (!decoded.ok()) {
-      SHADOW_WARN() << base_.name << ": lobby dropping malformed message: "
-                    << decoded.error().to_string();
-      conn.inbox.erase(conn.inbox.begin());
       ++handled;
+      if (lobby_refuses(conn.inbox.front(), decoded.error())) {
+        it = lobby_.erase(it);  // destroying the transport closes it
+        continue;
+      }
+      conn.inbox.erase(conn.inbox.begin());
       ++it;
       continue;
     }
     if (const auto* hello = std::get_if<proto::Hello>(&decoded.value())) {
       if (draining_.load()) {
-        // Drain refuses at the lobby: the socket never reaches a shard
-        // loop. v1 clients get the retry hint; v0 just see the close.
-        if (hello->protocol_version >= 1) {
-          proto::ServerBusy busy;
-          busy.retry_after_usec = base_.overload.retry_after_usec;
-          busy.draining = true;
-          busy.reason = "server draining";
-          (void)conn.transport->send(proto::encode_message(busy));
-        }
+        // Drain refuses at the lobby, with the retry hint: the socket
+        // never reaches a shard loop.
+        proto::ServerBusy busy;
+        busy.retry_after_usec = base_.overload.retry_after_usec;
+        busy.draining = true;
+        busy.reason = "server draining";
+        (void)conn.transport->send(proto::encode_message(busy));
         it = lobby_.erase(it);
         ++handled;
         continue;

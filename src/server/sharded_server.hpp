@@ -8,7 +8,8 @@
 // and is replayed into that shard so the handshake is handled exactly as
 // a standalone server would; an AdminQuery keeps the connection in the
 // lobby (shadowtop never says Hello) and is answered at the facade from
-// aggregated telemetry. After routing, every message the connection ever
+// aggregated telemetry; a Hello that does not decode (a pre-v1 peer's)
+// closes the connection. After routing, every message the connection ever
 // carries is handled on its shard — the submit/update hot path takes no
 // cross-shard lock, and in threaded mode no lock at all.
 //
@@ -23,7 +24,8 @@
 //
 // Cross-shard traffic exists on exactly one path: a job whose
 // output_route names a client pinned to a sibling shard (§8.3). The
-// facade forwards the finished output to the client's home shard — a
+// facade forwards the finished output to the client's home shard, and
+// the client's ack (or nack) back to the shard its job id names — a
 // per-output cost, never per-update.
 #pragma once
 
@@ -146,6 +148,10 @@ class ShardedServer {
 
   /// Inline lobby: first decodable message routes the connection.
   void route_first_message(net::Transport* transport, const Bytes& wire);
+  /// Log a lobby frame that failed to decode. True when it was a Hello
+  /// (a pre-v1 peer's, or garbage): no shard can serve that peer, so the
+  /// caller closes the connection instead of leaving it waiting.
+  bool lobby_refuses(const Bytes& wire, const Error& error) const;
   /// Shared routing decision; records the client's home shard.
   std::size_t route_hello(const proto::Hello& hello);
   /// Answer an AdminQuery at the facade from aggregated telemetry.

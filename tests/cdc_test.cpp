@@ -2,8 +2,9 @@
 // and edit locality, CRC composition, signature/delta round trips, the
 // digest-only advance, the client's crossover selection, the server's
 // O(digests) residency, job materialization from a digest-tracked file,
-// and the v0-peer regression — a legacy client that never heard of codec
-// negotiation must see byte-identical wire traffic.
+// a pre-v1 Hello refused at decode, and the no-CDC client — one that
+// offers only ed-script + block-move must see hint-free pulls and be
+// cached as content.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -419,21 +420,27 @@ TEST(CdcDigestServer, ServerWithCdcDisabledKeepsLegacyContentEntries) {
   EXPECT_EQ(entry->content, blob);
 }
 
-// ---- v0-peer regression: the wire without codec negotiation ----
+// ---- pre-v1 peers and no-CDC clients ----
 
-TEST(LegacyPeer, HelloWithoutCodecsFieldNegotiatesLegacyCodecs) {
-  // A pre-negotiation Hello ends after (name, domain, version): decode
-  // must land on the two legacy codecs, not zero and not "everything".
+TEST(LegacyPeer, PreV1HelloFailsToDecode) {
+  // A pre-v1 Hello ends after (name, domain): no version, no codecs.
   BufWriter w;
   w.put_u8(static_cast<u8>(proto::MessageType::kHello));
   w.put_string("oldws");
   w.put_string("net-legacy");
-  w.put_varint(proto::kShadowProtocolVersion);
   auto decoded = proto::decode_message(w.take());
-  ASSERT_TRUE(decoded.ok());
-  const auto* hello = std::get_if<proto::Hello>(&decoded.value());
-  ASSERT_NE(hello, nullptr);
-  EXPECT_EQ(hello->codecs, proto::kLegacyCodecs);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, ErrorCode::kProtocolError);
+  EXPECT_NE(decoded.error().message.find("pre-v1 peer"), std::string::npos)
+      << decoded.error().to_string();
+
+  BufWriter reply;
+  reply.put_u8(static_cast<u8>(proto::MessageType::kHelloReply));
+  reply.put_string("oldsuper");
+  auto decoded_reply = proto::decode_message(reply.take());
+  ASSERT_FALSE(decoded_reply.ok());
+  EXPECT_NE(decoded_reply.error().message.find("pre-v1 peer"),
+            std::string::npos);
 }
 
 TEST(LegacyPeer, PullWithoutHintIsByteIdenticalToTheLegacyEncoding) {
@@ -468,12 +475,12 @@ TEST(LegacyPeer, ServerNeverDigestTracksALegacyClientsFiles) {
   });
   server.attach(pair.b.get());
 
-  // The legacy Hello: no codecs field on the wire at all.
-  BufWriter hello;
-  hello.put_u8(static_cast<u8>(proto::MessageType::kHello));
-  hello.put_string("oldws");
-  hello.put_string("net-legacy");
-  ASSERT_TRUE(pair.a->send(hello.take()).ok());
+  // A no-CDC client (`cdc off`): it offers ed-script + block-move only.
+  proto::Hello hello;
+  hello.client_name = "oldws";
+  hello.domain = "net-legacy";
+  hello.codecs = proto::kCodecEdScript | proto::kCodecBlockMove;
+  ASSERT_TRUE(pair.a->send(proto::encode_message(hello)).ok());
   net::pump(pair);
   ASSERT_FALSE(inbox.empty());
   ASSERT_NE(std::get_if<proto::HelloReply>(&inbox.front()), nullptr);

@@ -165,7 +165,7 @@ TEST(Lease, HeartbeatKeepsIdleSessionAlive) {
   server.attach(pair.b.get());
   client.connect("super", pair.a.get());
   net::pump(pair);
-  ASSERT_EQ(client.server_protocol("super"), 1u);
+  ASSERT_TRUE(client.hello_done("super"));
 
   // An editor sitting idle between saves: no traffic except heartbeats,
   // sent well inside the lease. The session must survive indefinitely.
@@ -223,7 +223,7 @@ TEST(Admission, ConnectionBudgetShedsHelloAndRetrySucceeds) {
   EXPECT_EQ(server.stats().busy_rejects, 1u);
   EXPECT_EQ(second.stats().server_busy, 1u);
   EXPECT_TRUE(second.backing_off("super"));
-  EXPECT_EQ(second.server_protocol("super"), 0u);  // no HelloReply yet
+  EXPECT_FALSE(second.hello_done("super"));  // no HelloReply yet
 
   // Capacity frees up (the first workstation disconnects); the jittered
   // backoff fires the Hello again and the session completes.
@@ -231,7 +231,7 @@ TEST(Admission, ConnectionBudgetShedsHelloAndRetrySucceeds) {
   sim.run_until(sim.now() + 5'000'000);
   net::pump(pair_b);
   EXPECT_TRUE(server.has_client("ws2"));
-  EXPECT_EQ(second.server_protocol("super"), 1u);
+  EXPECT_TRUE(second.hello_done("super"));
   EXPECT_FALSE(second.backing_off("super"));
   EXPECT_GE(second.stats().busy_retries, 1u);
 }

@@ -22,6 +22,22 @@ TEST(JobQueueTest, AddAssignsIncreasingIds) {
   EXPECT_EQ(queue.size(), 2u);
 }
 
+TEST(JobQueueTest, ShardIdsNameTheirShardAndSurviveRestore) {
+  // Shard 1 of 4 numbers seq * 4 + 1; no other shard can hand out these.
+  JobQueue queue(1, 4);
+  EXPECT_EQ(queue.add(sample()), 5u);
+  EXPECT_EQ(queue.add(sample()), 9u);
+  EXPECT_EQ(shard_of_job(9, 4), 1u);
+  EXPECT_EQ(shard_of_job(9, 1), 0u);
+
+  // Recovery moves the counter past the highest id, keeping the stride.
+  JobQueue recovered(1, 4);
+  JobRecord replayed = sample();
+  replayed.job_id = 9;
+  recovered.restore_record(replayed);
+  EXPECT_EQ(recovered.add(sample()), 13u);
+}
+
 TEST(JobQueueTest, FindReturnsRecord) {
   JobQueue queue;
   const u64 id = queue.add(sample());

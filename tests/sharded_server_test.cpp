@@ -1,5 +1,6 @@
 // Inline-mode ShardedServer: Hello routing, shard-local state, aggregated
-// stats/telemetry, the cross-shard output_route hop, per-shard journal
+// stats/telemetry, the cross-shard output_route hop and its ack's way
+// back to the job's shard, per-shard journal
 // recovery, and the facade's lobby answering AdminQuery without a Hello.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "proto/messages.hpp"
 #include "server/sharded_server.hpp"
 #include "telemetry/registry.hpp"
+#include "util/byte_io.hpp"
 
 namespace shadow::server {
 namespace {
@@ -161,6 +163,111 @@ TEST(ShardedServerTest, OutputRoutedAcrossShards) {
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->exit_code, 0);
   EXPECT_EQ(out->client_job_token, 7u);
+}
+
+/// ws1 (shard 2) runs a job of its own, then ws0 (shard 1) submits one
+/// routed to ws1. Both outputs sit in ws1's inbox, neither acked.
+struct RoutedJobRig {
+  ServerConfig config = [] {
+    ServerConfig c;
+    c.name = "super";
+    return c;
+  }();
+  ShardedServer sharded{config, kShards};
+  Client submitter;
+  Client recipient;
+  u64 own_id = 0;
+  u64 routed_id = 0;
+
+  RoutedJobRig() {
+    submitter.name = "ws0";
+    submitter.connect(sharded);
+    recipient.name = "ws1";
+    recipient.connect(sharded);
+    proto::SubmitJob own;
+    own.client_job_token = 1;
+    own.command_file = "echo mine\n";
+    recipient.send(own);
+    if (const auto* out = recipient.last_of<proto::JobOutput>()) {
+      own_id = out->job_id;
+    }
+    proto::SubmitJob routed;
+    routed.client_job_token = 7;
+    routed.command_file = "echo crunched\n";
+    routed.output_route = "ws1";
+    submitter.send(routed);
+    net::pump(recipient.pair);
+    if (const auto* out = recipient.last_of<proto::JobOutput>()) {
+      routed_id = out->job_id;
+    }
+  }
+
+  proto::JobState state(std::size_t shard, u64 job_id) {
+    auto found = sharded.shard(shard).jobs().find(job_id);
+    return found.ok() ? found.value()->state : proto::JobState::kQueued;
+  }
+};
+
+TEST(ShardedServerTest, RoutedOutputAckReachesTheJobsShard) {
+  // Job ids are unique across shards, so the recipient's ack of a routed
+  // output settles the submitter's job, never its own job.
+  RoutedJobRig rig;
+  ASSERT_NE(rig.own_id, 0u);
+  ASSERT_NE(rig.routed_id, 0u);
+  EXPECT_NE(rig.routed_id, rig.own_id);
+
+  proto::JobOutputAck ack;
+  ack.job_id = rig.routed_id;
+  rig.recipient.send(ack);
+  EXPECT_EQ(rig.state(1, rig.routed_id), proto::JobState::kDelivered);
+  EXPECT_EQ(rig.state(2, rig.own_id), proto::JobState::kCompleted);
+}
+
+TEST(ShardedServerTest, RoutedOutputNackResendsTheRoutedJob) {
+  RoutedJobRig rig;
+  const std::size_t outputs_before = rig.recipient.received.size();
+  proto::JobOutputAck nack;
+  nack.job_id = rig.routed_id;
+  nack.ok = false;
+  nack.error = "lost the previous output";
+  rig.recipient.send(nack);
+  net::pump(rig.recipient.pair);
+
+  ASSERT_EQ(rig.recipient.received.size(), outputs_before + 1);
+  const auto* resent = rig.recipient.last_of<proto::JobOutput>();
+  ASSERT_NE(resent, nullptr);
+  EXPECT_EQ(resent->job_id, rig.routed_id);
+  EXPECT_EQ(resent->client_job_token, 7u);
+  EXPECT_EQ(resent->output_base_generation, 0u);  // full content
+  auto output = proto::unpack_payload(resent->output_payload);
+  ASSERT_TRUE(output.ok());
+  EXPECT_EQ(output.value().apply("").value(), "crunched\n");
+  EXPECT_EQ(rig.sharded.shard(1).stats().outputs_sent, 2u);
+  EXPECT_EQ(rig.sharded.shard(2).stats().outputs_sent, 1u);
+}
+
+TEST(ShardedServerTest, LobbyHangsUpOnPreV1Hello) {
+  ServerConfig config;
+  config.name = "super";
+  ShardedServer sharded(config, kShards);
+  Client old;
+  old.name = "ws0";
+  old.pair = net::make_loopback_pair(old.name, "super");
+  old.pair.a->set_receiver([&](Bytes) { old.received.emplace_back(); });
+  sharded.attach(old.pair.b.get());
+  BufWriter pre_v1;
+  pre_v1.put_u8(static_cast<u8>(proto::MessageType::kHello));
+  pre_v1.put_string(old.name);
+  pre_v1.put_string(kDomain);
+  ASSERT_TRUE(old.pair.a->send(pre_v1.take()).ok());
+  net::pump(old.pair);
+  // The connection is closed: even a v1 Hello on it is never routed.
+  proto::Hello hello;
+  hello.client_name = old.name;
+  hello.domain = kDomain;
+  old.send(hello);
+  EXPECT_TRUE(old.received.empty());
+  EXPECT_FALSE(sharded.shard_of_client(old.name).has_value());
 }
 
 TEST(ShardedServerTest, AdminQueryAnsweredWithoutHello) {

@@ -18,6 +18,7 @@
 #include "net/tcp_transport.hpp"
 #include "proto/messages.hpp"
 #include "server/sharded_server.hpp"
+#include "util/byte_io.hpp"
 
 namespace shadow::server {
 namespace {
@@ -194,6 +195,42 @@ TEST(ShardedTcpTest, ConcurrentClientsAcrossFourShardThreads) {
     if (sharded.shard(s).stats().updates_received > 0) ++busy_shards;
   }
   EXPECT_GE(busy_shards, 2);
+}
+
+TEST(ShardedTcpTest, LobbyClosesPreV1HelloAndServesV1) {
+  ServerConfig config;
+  config.name = "super";
+  ShardedServer sharded(config, 2);
+  net::TcpListener listener;
+  ASSERT_TRUE(listener.listen(0).ok());
+  sharded.start_threads();
+  std::atomic<int> failures{0};
+  {
+    Acceptor acceptor(sharded, listener);
+    // A pre-v1 Hello ends after (name, domain). No shard can serve it, so
+    // the lobby hangs up rather than leave the peer waiting for a reply.
+    auto old = net::tcp_connect(listener.port(), "super");
+    ASSERT_TRUE(old.ok());
+    int replies = 0;
+    old.value()->set_receiver([&](Bytes) { ++replies; });
+    BufWriter hello;
+    hello.put_u8(static_cast<u8>(proto::MessageType::kHello));
+    hello.put_string("oldws");
+    hello.put_string("tcp-net");
+    ASSERT_TRUE(old.value()->send(hello.take()).ok());
+    for (int i = 0; i < kWaitRounds && !old.value()->closed(); ++i) {
+      old.value()->poll();
+      ::usleep(1000);
+    }
+    EXPECT_TRUE(old.value()->closed());
+    EXPECT_EQ(replies, 0);
+
+    run_client(listener.port(), 0, failures);
+  }
+  sharded.stop_threads();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_FALSE(sharded.shard_of_client("oldws").has_value());
+  EXPECT_EQ(sharded.aggregate_stats().jobs_completed, 1u);
 }
 
 TEST(ShardedTcpTest, ThreadsStartStopIdempotently) {
