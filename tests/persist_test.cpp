@@ -4,6 +4,8 @@
 // continues with DELTAS where a fresh one would pay a full transfer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cache/shadow_cache.hpp"
 #include "cdc/signature.hpp"
 #include "client/shadow_client.hpp"
@@ -12,6 +14,7 @@
 #include "net/loopback.hpp"
 #include "persist/durable_store.hpp"
 #include "persist/storage.hpp"
+#include "proto/messages.hpp"
 #include "server/journal_records.hpp"
 #include "server/shadow_server.hpp"
 #include "util/crc32.hpp"
@@ -435,6 +438,124 @@ TEST_F(PersistE2E, LiveServerSnapshotIsAFixedPoint) {
   const Bytes snapshot = server_->save_state();
   start_server(&snapshot);
   EXPECT_EQ(server_->save_state(), snapshot);
+}
+
+// ---- twin recovery: a live server and one recovered from a copy of its
+// store hold the same state ----
+
+/// A save_state() stream's records, each as its raw type byte and body.
+/// Cache records (content or digest) are sorted: ShadowCache::get moves
+/// LRU recency and no record journals that, so only their set is state.
+/// Every other record keeps its order.
+struct StateRecords {
+  std::vector<Bytes> cache;
+  std::vector<Bytes> rest;
+};
+
+StateRecords state_records(const Bytes& snapshot) {
+  StateRecords out;
+  BufReader r(snapshot);
+  auto header = journal::SnapshotHeader::decode(r);
+  EXPECT_TRUE(header.ok());
+  if (!header.ok()) return out;
+  for (u64 i = 0; i < header.value().records; ++i) {
+    const std::size_t start = r.position();
+    auto type = journal::get_snapshot_record_type(r);
+    EXPECT_TRUE(type.ok());
+    if (!type.ok() || !journal::describe(type.value(), r).ok()) {
+      ADD_FAILURE() << "record " << i << " does not decode";
+      return out;
+    }
+    Bytes record(snapshot.begin() + static_cast<long>(start),
+                 snapshot.begin() + static_cast<long>(r.position()));
+    const bool cache_record =
+        type.value() == persist::RecordType::kShadowCached ||
+        type.value() == persist::RecordType::kShadowDigest;
+    (cache_record ? out.cache : out.rest).push_back(std::move(record));
+  }
+  EXPECT_TRUE(r.at_end());
+  std::sort(out.cache.begin(), out.cache.end());
+  return out;
+}
+
+/// Copy `disk` file by file, recover a twin server (same config) from the
+/// copy, and expect the twin to save the live server's state: the same
+/// cache entries (key, version, CRC, bytes, owner) and the same jobs.
+void expect_twin_recovers_live_state(server::ShadowServer& live,
+                                     persist::MemDir& disk) {
+  (void)live.pump_persist();
+  persist::MemDir copy;
+  for (const std::string& name : disk.list()) {
+    auto bytes = disk.read(name);
+    ASSERT_TRUE(bytes.ok()) << name;
+    ASSERT_TRUE(copy.write_atomic(name, bytes.value()).ok()) << name;
+  }
+  persist::DurableStore store(&copy);
+  server::ShadowServer twin(live.config(), nullptr, &store);
+  ASSERT_TRUE(twin.recover_from_storage().ok());
+  const StateRecords want = state_records(live.save_state());
+  const StateRecords got = state_records(twin.save_state());
+  EXPECT_EQ(got.cache.size(), want.cache.size());
+  EXPECT_TRUE(got.cache == want.cache) << "cache records differ";
+  EXPECT_EQ(got.rest.size(), want.rest.size());
+  EXPECT_TRUE(got.rest == want.rest) << "job records differ";
+}
+
+TEST(TwinRecovery, JournaledReverseShadowSessionRecoversLiveState) {
+  vfs::Cluster cluster;
+  (void)cluster.add_host("ws").mkdir_p("/home/user");
+  persist::MemDir disk;
+  persist::DurableStore store(&disk);
+  server::ServerConfig sc;
+  sc.name = "super";
+  sc.reverse_shadow = true;  // and an unbounded cache
+  server::ShadowServer server(sc, nullptr, &store);
+  ASSERT_TRUE(server.recover_from_storage().ok());
+  auto pair = net::make_loopback_pair("ws", "super");
+  server.attach(pair.b.get());
+  client::ShadowClient client("ws", client::ShadowEnvironment{}, &cluster,
+                              "net-1");
+  client::ShadowEditor editor(&client, &cluster);
+  client.connect("super", pair.a.get());
+  auto settle = [&] {
+    do {
+      net::pump(pair);
+    } while (server.pump_persist() > 0);
+  };
+  settle();
+
+  client::ShadowClient::SubmitOptions job;
+  job.files = {"/home/user/f"};
+  job.command_file = "sort f\n";
+  job.output_path = "/home/user/out";
+  job.error_path = "/home/user/err";
+  std::string content = core::make_file(6'000, 5);
+  auto run = [&](int edit_seed) {
+    content = core::modify_percent(content, 2, edit_seed);
+    EXPECT_TRUE(editor.create("/home/user/f", content).ok());
+    auto token = client.submit(job);
+    EXPECT_TRUE(token.ok());
+    settle();
+    return token.ok() ? token.value() : 0;
+  };
+  EXPECT_TRUE(client.job_done(run(1)));
+  EXPECT_TRUE(client.job_done(run(2)));
+  // The third run's JobOutputAck never reaches the server: the server sees
+  // every other message, so the job stays completed, not delivered.
+  pair.b->set_receiver([&](Bytes wire) {
+    auto m = proto::decode_message(wire);
+    if (m.ok() && std::holds_alternative<proto::JobOutputAck>(m.value())) {
+      return;
+    }
+    server.inject_message(pair.b.get(), std::move(wire));
+  });
+  const u64 third = run(3);
+  EXPECT_TRUE(client.job_done(third));
+  ASSERT_EQ(server.jobs().size(), 3u);
+  EXPECT_EQ(server.jobs().all().rbegin()->second.state,
+            proto::JobState::kCompleted);
+  EXPECT_EQ(server.stats().output_delta_hits, 2u);
+  expect_twin_recovers_live_state(server, disk);
 }
 
 }  // namespace
