@@ -29,7 +29,7 @@ enum class RecordType : u8 {
   kJobStarted = 4,     // a job began executing
   kJobFinished = 5,    // a job completed or failed (before JobOutput)
   kJobDelivered = 6,   // the client acknowledged the job's output
-  kOutputStored = 7,   // reverse-shadow output cache updated
+  kOutputStored = 7,   // retired: read past, never written
   kShadowDigest = 8,   // a CDC-tracked shadow's digest signature advanced
 };
 

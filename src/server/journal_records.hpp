@@ -33,7 +33,7 @@ namespace shadow::server::journal {
 /// The prefix kShadowCached and kShadowDigest share.
 struct ShadowHeader {
   naming::GlobalFileId id;
-  std::string_view key;  // cache key "<domain>/<shadow-id>"
+  std::string_view key;  // a file's "<domain>/<shadow-id>", or an output key
   u64 version = 0;
   u32 crc = 0;  // whole-file CRC of the version
   template <class R, class F>
@@ -42,7 +42,8 @@ struct ShadowHeader {
   }
 };
 
-/// A content cache entry: the version's bytes.
+/// A content cache entry: the version's bytes. A reverse-shadow output
+/// entry has an empty file id and owner, and its generation as version.
 struct ShadowCached {
   static constexpr auto kType = persist::RecordType::kShadowCached;
   ShadowHeader head;
@@ -111,7 +112,9 @@ struct JobDelivered {
   }
 };
 
-/// A reverse-shadow output cache entry (§8.3).
+/// Retired: a reverse-shadow output as older stores journaled it, before
+/// outputs became ShadowCached entries. Never written; decoded only so
+/// that replay and tools/wal read past it.
 struct OutputStored {
   static constexpr auto kType = persist::RecordType::kOutputStored;
   std::string_view signature;  // "the same job" across re-runs

@@ -43,10 +43,9 @@ struct OverloadConfig {
   /// beyond it are shed (results would only deepen the backlog).
   std::size_t max_total_queued_bytes = 0;
   /// Cap on active (queued+waiting+running) jobs; submits beyond it are
-  /// SHED with ServerBusy + retry-after — unlike max_queued_jobs, whose
-  /// queue-full SubmitReply rejection is final. The client re-submits
-  /// from its archive after a jittered backoff, so transient bursts
-  /// queue politely at the clients instead of in the server.
+  /// SHED with ServerBusy + retry-after. The client re-submits from its
+  /// archive after a jittered backoff, so transient bursts queue politely
+  /// at the clients instead of in the server.
   std::size_t max_active_jobs = 0;
   /// Hint returned with every ServerBusy: how long the client should
   /// back off (its own jittered backoff takes this as the floor).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "diff/delta.hpp"
 #include "proto/admin.hpp"
 #include "telemetry/registry.hpp"
 #include "util/crc32.hpp"
@@ -23,6 +24,33 @@ u64 steady_micros() {
   return static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
                               std::chrono::steady_clock::now().time_since_epoch())
                               .count());
+}
+
+// Reverse-shadow outputs (§8.3) are cache entries beside the files, keyed
+// by "the same job" across re-runs: this prefix, then the client, output
+// name, command file and sorted input file ids, each ended by '|'. A file
+// key ("<domain>/<shadow-id>") ends in a digit, so the two never meet.
+constexpr std::string_view kOutputKeyPrefix = "out:";
+
+std::string output_key(const job::JobRecord& record) {
+  std::vector<std::string> files;
+  for (const auto& ref : record.files) files.push_back(ref.file.key());
+  std::sort(files.begin(), files.end());
+  std::string key = std::string(kOutputKeyPrefix) + record.client_name +
+                    "|" + record.output_name + "|" + record.command_file + "|";
+  for (const auto& file : files) key += file + "|";
+  return key;
+}
+
+bool is_output_key(std::string_view key) {
+  return key.starts_with(kOutputKeyPrefix) && key.ends_with('|');
+}
+
+/// A delivered job's output lives on only in the client (and, with
+/// reverse shadow, in its cache entry): release the bytes.
+void drop_output(job::JobRecord& job) {
+  std::string().swap(job.output_content);
+  std::string().swap(job.error_content);
 }
 }  // namespace
 
@@ -395,16 +423,14 @@ void ShadowServer::resync_connection(Connection* conn) {
     }
   }
   drain_deferred_pulls();
-  if (!conn->client_name.empty()) {
-    for (auto& [id, record] : queue_.all_mutable()) {
-      if (record.client_name != conn->client_name) continue;
-      if (record.state == proto::JobState::kCompleted ||
-          record.state == proto::JobState::kFailed) {
-        deliver_output(record);
-      }
-    }
-  }
+  if (!conn->client_name.empty()) redeliver_outputs(conn->client_name);
   schedule_jobs();
+}
+
+void ShadowServer::redeliver_outputs(const std::string& client_name) {
+  for (const auto& [id, record] : queue_.all()) {
+    if (record.client_name == client_name) deliver_output(record);
+  }
 }
 
 proto::ReliableChannel::Stats ShadowServer::session_stats() const {
@@ -573,13 +599,7 @@ void ShadowServer::handle(Connection* conn, const proto::Hello& m) {
   // Results that finished while the client was away (e.g. the server was
   // restarted from its journal): deliver now that there is a connection.
   // Harmless on a first-ever Hello — the queue has nothing for this name.
-  for (auto& [id, record] : queue_.all_mutable()) {
-    if (record.client_name != m.client_name) continue;
-    if (record.state == proto::JobState::kCompleted ||
-        record.state == proto::JobState::kFailed) {
-      deliver_output(record);
-    }
-  }
+  redeliver_outputs(m.client_name);
   schedule_jobs();
 }
 
@@ -929,39 +949,19 @@ void ShadowServer::handle(Connection* conn, const proto::SubmitJob& m) {
     reply.job_id = record.job_id;
     reply.accepted = true;
     send(conn, reply);
-    if (record.state == proto::JobState::kCompleted ||
-        record.state == proto::JobState::kFailed) {
-      deliver_output(record);
-    }
+    deliver_output(record);
     return;
   }
   ++stats_.jobs_submitted;
   // Unified overload budget: shed the submit with a retry hint while the
   // server is past any hard budget (drain, queued output bytes, active
-  // jobs). Unlike the queue-full rejection below — which is final —
-  // ServerBusy means "try the same job again in a moment".
+  // jobs). ServerBusy means "try the same job again in a moment".
   if (const char* refusal = admission_refusal(); refusal != nullptr) {
     ++stats_.busy_rejects;
     record_event(telemetry::EventKind::kJob,
                  "submit shed (" + std::string(refusal) + ") from " +
                      conn->client_name);
     send_busy(conn, m.client_job_token, refusal);
-    return;
-  }
-  // Admission control: a saturated batch queue refuses new work rather
-  // than letting it pile up without bound (§5.2's overload concern).
-  if (config_.max_queued_jobs != 0 &&
-      queue_.active_count() >= config_.max_queued_jobs) {
-    ++stats_.jobs_rejected;
-    record_event(telemetry::EventKind::kJob,
-                 "submit rejected (queue full) from " + conn->client_name);
-    proto::SubmitReply reject;
-    reject.client_job_token = m.client_job_token;
-    reject.job_id = 0;
-    reject.accepted = false;
-    reject.reason = "job queue full (" +
-                    std::to_string(config_.max_queued_jobs) + " active)";
-    send(conn, reject);
     return;
   }
   job::JobRecord record;
@@ -1198,17 +1198,14 @@ void ShadowServer::release_pins(const job::JobRecord& finished) {
   }
 }
 
-std::string ShadowServer::job_signature(const job::JobRecord& record) {
-  std::string sig = record.client_name + "|" + record.output_name + "|" +
-                    record.command_file;
-  std::vector<std::string> keys;
-  for (const auto& ref : record.files) keys.push_back(ref.file.key());
-  std::sort(keys.begin(), keys.end());
-  for (const auto& k : keys) sig += "|" + k;
-  return sig;
-}
-
-void ShadowServer::deliver_output(job::JobRecord& record, bool full) {
+void ShadowServer::deliver_output(const job::JobRecord& record, bool full) {
+  // Only a finished job has output to send. A delivered one holds no bytes
+  // (a late nack, or a Hello that re-delivered the output and had it acked
+  // before this job's finished record was flushed).
+  if (record.state != proto::JobState::kCompleted &&
+      record.state != proto::JobState::kFailed) {
+    return;
+  }
   const std::string route = record.output_route.empty()
                                 ? record.client_name
                                 : record.output_route;
@@ -1221,32 +1218,41 @@ void ShadowServer::deliver_output(job::JobRecord& record, bool full) {
   out.error_name = record.error_name;
 
   // Reverse shadow processing (§8.3): delta against the previous output of
-  // the same job. Only applicable when output goes back to the same place.
+  // the same job, held in the cache under the job's output key with its
+  // generation as the version.
   diff::Delta output_delta = diff::Delta::make_full(record.output_content);
-  if (config_.reverse_shadow && full) {
-    auto it = output_cache_.find(job_signature(record));
-    if (it != output_cache_.end()) out.output_generation = it->second.generation;
-  } else if (config_.reverse_shadow) {
-    const std::string sig = job_signature(record);
-    auto prev = output_cache_.find(sig);
-    if (prev != output_cache_.end()) {
-      output_delta =
-          diff::Delta::compute(prev->second.content, record.output_content,
-                               config_.output_delta_algo);
+  if (config_.reverse_shadow) {
+    const std::string key = output_key(record);
+    auto held = cache_.get(key);
+    const cache::CacheEntry* prev = held.ok() ? held.value() : nullptr;
+    if (prev != nullptr && !full) {
+      output_delta = diff::Delta::compute(prev->content, record.output_content,
+                                          diff::Algorithm::kHuntMcIlroy);
       if (output_delta.needs_base()) {
-        out.output_base_generation = prev->second.generation;
+        out.output_base_generation = prev->version;
         ++stats_.output_delta_hits;
       }
     }
-    auto& entry = output_cache_[sig];
-    entry.generation += 1;
-    entry.content = record.output_content;
-    out.output_generation = entry.generation;
-    // Non-gating: a lost reverse-shadow base costs one full output
-    // transfer on the next re-run, never correctness.
-    persist_append_then(journal::body_of(journal::OutputStored{
-                            sig, entry.generation, entry.content}),
-                        nullptr);
+    if (prev != nullptr && prev->content == record.output_content) {
+      // A re-delivery (or a re-run with the same bytes): the entry already
+      // is this output's generation.
+      out.output_generation = prev->version;
+    } else if (!full) {
+      const u64 generation = prev == nullptr ? 1 : prev->version + 1;
+      const u32 crc = crc32(reinterpret_cast<const u8*>(
+                                record.output_content.data()),
+                            record.output_content.size());
+      // Best effort like any cache entry: an evicted or refused base, or a
+      // lost non-gating record, costs one full output transfer on the
+      // next re-run, never correctness.
+      if (cache_.put(key, generation, record.output_content, crc).ok()) {
+        out.output_generation = generation;
+        persist_append_then(
+            journal::body_of(journal::ShadowCached{
+                {{}, key, generation, crc}, record.output_content, {}}),
+            nullptr);
+      }
+    }
   }
 
   out.output_payload = proto::pack_payload(output_delta, config_.output_codec);
@@ -1296,6 +1302,7 @@ void ShadowServer::settle_output_ack(const std::string& from_client,
         record.state == proto::JobState::kFailed) {
       (void)queue_.transition(m.job_id, proto::JobState::kDelivered,
                               "output delivered");
+      drop_output(record);
       // Non-gating: if this record is lost the job replays as kCompleted
       // and the output is re-delivered — a duplicate, not a loss.
       persist_append_then(journal::body_of(journal::JobDelivered{m.job_id}),
@@ -1323,14 +1330,14 @@ void ShadowServer::handle(Connection* conn, const proto::AdminQuery& m) {
 Bytes ShadowServer::save_state() const {
   const auto entries = cache_.eviction_order();
   BufWriter w;
-  journal::SnapshotHeader{
-      config_.shard_id, config_.shard_count,
-      entries.size() + queue_.size() + output_cache_.size()}
+  journal::SnapshotHeader{config_.shard_id, config_.shard_count,
+                          entries.size() + queue_.size()}
       .encode(w);
   // Cache records come first, so every shadow id a cache key names is
   // bound before a job's files are interned (the recovery pre-pass rule).
-  // An entry put without a FileState (tests poke the cache directly) is
-  // written with an empty file id; replay still reserves its shadow id.
+  // An entry without a FileState (a reverse-shadow output, or a file
+  // tests put in the cache directly) is written with an empty file id and
+  // owner; replay still reserves a file's shadow id.
   static const FileState kUntracked;
   for (const cache::CacheEntry* entry : entries) {
     auto tracked = files_.find(entry->key);
@@ -1350,10 +1357,6 @@ Bytes ShadowServer::save_state() const {
   }
   for (const auto& [id, job] : queue_.all()) {
     journal::put_snapshot_record(w, job);
-  }
-  for (const auto& [sig, entry] : output_cache_) {
-    journal::put_snapshot_record(
-        w, journal::OutputStored{sig, entry.generation, entry.content});
   }
   return w.take();
 }
@@ -1388,7 +1391,6 @@ void ShadowServer::reset_volatile_state() {
   domains_ = naming::DomainMap();
   queue_ = job::JobQueue(config_.shard_id, config_.shard_count);
   files_.clear();
-  output_cache_.clear();
   pinned_.clear();
   outstanding_pulls_ = 0;
 }
@@ -1423,6 +1425,7 @@ bool ShadowServer::bind_shadow(const journal::ShadowHeader& head) {
 
 Status ShadowServer::replay_shadow(journal::ShadowHeader& head, u64 size,
                                    std::string_view owner) {
+  if (is_output_key(head.key)) return Status();  // no file behind it
   if (!bind_shadow(head)) {
     return Error{ErrorCode::kProtocolError,
                  "malformed cache key " + std::string(head.key)};
@@ -1482,6 +1485,7 @@ Status ShadowServer::replay_record(persist::RecordType type, BufReader& in) {
         }
         if (state.owner_client.empty()) state.owner_client = job.client_name;
       }
+      if (job.state == proto::JobState::kDelivered) drop_output(job);
       queue_.restore_record(std::move(job));
       return Status();
     }
@@ -1524,16 +1528,15 @@ Status ShadowServer::replay_record(persist::RecordType type, BufReader& in) {
           job.state == proto::JobState::kFailed) {
         job.state = proto::JobState::kDelivered;
         job.detail = "output delivered";
+        drop_output(job);
       }
       return Status();
     }
     case persist::RecordType::kOutputStored: {
-      SHADOW_ASSIGN_OR_RETURN(rec, journal::decode<journal::OutputStored>(in));
-      auto& entry = output_cache_[std::string(rec.signature)];
-      if (rec.generation >= entry.generation) {
-        entry.generation = rec.generation;
-        entry.content = rec.content;
-      }
+      // Retired: outputs are cache records now. An older store's record is
+      // read past and its base dropped; the next re-run of that job ships
+      // its output in full.
+      SHADOW_TRY(journal::decode<journal::OutputStored>(in));
       return Status();
     }
   }
@@ -1682,8 +1685,6 @@ void ShadowServer::sync_telemetry() const {
   r.gauge(p + "server.cache_entries")
       .set(static_cast<double>(cache_.entry_count()));
   r.gauge(p + "server.pinned_files").set(static_cast<double>(pinned_.size()));
-  r.gauge(p + "server.output_cache_entries")
-      .set(static_cast<double>(output_cache_.size()));
   r.gauge(p + "server.persist_alive").set(persist_alive() ? 1.0 : 0.0);
 
   // Per-connection session totals, summed (the per-channel breakdown stays

@@ -17,7 +17,6 @@
 
 #include "cache/shadow_cache.hpp"
 #include "compress/compress.hpp"
-#include "diff/delta.hpp"
 #include "job/executor.hpp"
 #include "job/queue.hpp"
 #include "naming/domain_map.hpp"
@@ -53,15 +52,11 @@ struct ServerConfig {
   std::size_t max_outstanding_pulls = 4;
   /// Cache job outputs and ship output deltas on re-runs (§8.3).
   bool reverse_shadow = false;
-  diff::Algorithm output_delta_algo = diff::Algorithm::kHuntMcIlroy;
   /// Compression applied to outbound JobOutput payloads (§8.3).
   compress::Codec output_codec = compress::Codec::kStored;
   /// Abstract executor ops per second of simulated CPU.
   double cpu_ops_per_second = 50e6;
   std::size_t max_concurrent_jobs = 4;
-  /// Admission control: queued+waiting+running jobs above this are
-  /// REJECTED at submit (SubmitReply.accepted = false). 0 = unlimited.
-  std::size_t max_queued_jobs = 0;
   /// Load-average-based deferral (§5.2 / §3 adaptability). Disabled by
   /// default (high_water <= 0).
   LoadMonitorConfig load;
@@ -116,7 +111,6 @@ struct ServerStats {
   u64 digest_advances = 0;  // signatures advanced without content bytes
   u64 digest_advance_failures = 0;  // stale/failed advances (full re-pull)
   u64 jobs_submitted = 0;
-  u64 jobs_rejected = 0;  // admission control refusals
   u64 jobs_completed = 0;
   u64 jobs_failed = 0;
   u64 outputs_sent = 0;
@@ -161,7 +155,6 @@ inline constexpr ServerStatName kServerStatNames[] = {
     {"server.digest_advances", &ServerStats::digest_advances},
     {"server.digest_advance_failures", &ServerStats::digest_advance_failures},
     {"server.jobs_submitted", &ServerStats::jobs_submitted},
-    {"server.jobs_rejected", &ServerStats::jobs_rejected},
     {"server.jobs_completed", &ServerStats::jobs_completed},
     {"server.jobs_failed", &ServerStats::jobs_failed},
     {"server.outputs_sent", &ServerStats::outputs_sent},
@@ -293,11 +286,11 @@ class ShadowServer {
 
   /// Snapshot the server's durable state as the shortest record stream
   /// that rebuilds it (server/journal_records.hpp): one cached or digest
-  /// record per cache entry, in the eviction policy's order so recency
-  /// survives; then one job-submitted record per job, in any state; then
-  /// one output-stored record per reverse-shadow output. Live connections
-  /// and pulls in flight are NOT included — after a crash, clients
-  /// reconnect and re-announce; the cache is what makes that cheap.
+  /// record per cache entry (files and reverse-shadow outputs alike), in
+  /// the eviction policy's order so recency survives; then one
+  /// job-submitted record per job, in any state. Live connections and
+  /// pulls in flight are NOT included — after a crash, clients reconnect
+  /// and re-announce; the cache is what makes that cheap.
   Bytes save_state() const;
   /// Restore a snapshot into a freshly constructed server (same config):
   /// check the header, replay its records.
@@ -401,13 +394,16 @@ class ShadowServer {
   bool files_ready(const job::JobRecord& record) const;
   void start_job(job::JobRecord& record);
   void finish_job(u64 job_id, job::ExecutionResult result);
-  /// Send a finished job's output. `full` re-sends the current output
-  /// generation as full content (the client could not apply a delta);
-  /// otherwise a reverse-shadow delta may ship and the generation advances.
-  void deliver_output(job::JobRecord& record, bool full = false);
-
-  /// Reverse-shadow signature: identifies "the same job" across re-runs.
-  static std::string job_signature(const job::JobRecord& record);
+  /// Send a finished, undelivered job's output (no-op for other jobs).
+  /// With reverse shadow on, the job's output entry in the cache is the
+  /// delta base; an output that differs from it becomes the next
+  /// generation, one the entry already holds ships under that generation
+  /// and stores nothing. `full` sends whole content (the client could not
+  /// apply a delta).
+  void deliver_output(const job::JobRecord& record, bool full = false);
+  /// Deliver every finished, unacknowledged output of `client_name` (a
+  /// Hello, or a session resync).
+  void redeliver_outputs(const std::string& client_name);
 
   /// Drop pinned copies no longer needed by any active job.
   void release_pins(const job::JobRecord& finished);
@@ -491,12 +487,6 @@ class ShadowServer {
   std::map<std::string, FileState> files_;      // cache key -> state
   std::size_t outstanding_pulls_ = 0;
   std::size_t running_jobs_ = 0;
-
-  struct OutputCacheEntry {
-    u64 generation = 0;
-    std::string content;
-  };
-  std::map<std::string, OutputCacheEntry> output_cache_;  // signature -> prev
 
   /// Content the best-effort cache refused (over budget) but an active job
   /// still needs; released when the last interested job finishes.

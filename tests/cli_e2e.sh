@@ -48,9 +48,11 @@ echo "$OUT" | grep -q "submitted; job id 1" || fail "tichy/lz77 submit missing"
 grep -q "1 jobs completed" "$LOG" || fail "tichy/lz77 job not completed"
 
 # --- second phase: live telemetry over the admin channel -----------------
-# A journaled reverse-shadow daemon serves a scripted edit+submit session;
-# shadowtop (a second, concurrent connection) must then see non-zero diff,
-# cache and persist counters, and its protocol selftest must pass.
+# A journaled reverse-shadow daemon serves a scripted edit+submit session
+# that runs one job twice; shadowtop (a second, concurrent connection) must
+# then see non-zero diff, cache, persist and output-delta counters, and its
+# protocol selftest must pass. The daemon then restarts on its journal,
+# output entries included.
 PORT4=$((20000 + RANDOM % 20000))
 JOURNAL=$(mktemp -d)
 "$BUILD_DIR/tools/shadowd" --port "$PORT4" --reverse-shadow --journal "$JOURNAL" > "$LOG" 2>&1 &
@@ -59,7 +61,7 @@ for _ in $(seq 1 50); do
   grep -q "listening" "$LOG" && break
   sleep 0.1
 done
-printf 'gen /home/user/d 1000 7\nedit /home/user/c\nsort d\n.\nsubmit /home/user/c /home/user/d -o /home/user/out\nstatus\nedit /home/user/c\nsort d\nwc d\n.\nsubmit /home/user/c /home/user/d -o /home/user/out\nstatus\nquit\n' \
+printf 'gen /home/user/d 1000 7\nedit /home/user/c\nsort d\n.\nsubmit /home/user/c /home/user/d -o /home/user/out\nstatus\nsubmit /home/user/c /home/user/d -o /home/user/out\nstatus\nquit\n' \
   | "$BUILD_DIR/tools/shadow" --connect "$PORT4" > /dev/null 2>&1
 
 TOP=$("$BUILD_DIR/tools/shadowtop" --connect "$PORT4" --events 32)
@@ -75,6 +77,7 @@ nonzero "cache.lookups"
 nonzero "persist.appends"
 nonzero "persist.fsyncs"
 nonzero "server.jobs_completed"
+nonzero "server.output_delta_hits"
 echo "$TOP" | grep -q "job 1 completed" || topfail "job event missing from ring"
 
 "$BUILD_DIR/tools/shadowtop" --connect "$PORT4" --json \
@@ -83,6 +86,18 @@ echo "$TOP" | grep -q "job 1 completed" || topfail "job event missing from ring"
 "$BUILD_DIR/tools/shadowtop" --connect "$PORT4" --selftest \
   || topfail "shadowtop selftest failed"
 
+kill "$DPID" 2>/dev/null
+wait "$DPID" 2>/dev/null
+TOP=$("$BUILD_DIR/tools/wal" "$JOURNAL" 2>&1) || topfail "wal found damage"
+echo "$TOP" | grep -q "UNDECODABLE" && topfail "wal found an undecodable record"
+"$BUILD_DIR/tools/shadowd" --port "$PORT4" --reverse-shadow --journal "$JOURNAL" > "$LOG" 2>&1 &
+DPID=$!
+for _ in $(seq 1 50); do
+  grep -q "listening" "$LOG" && break
+  sleep 0.1
+done
+TOP=$("$BUILD_DIR/tools/shadowtop" --connect "$PORT4" --selftest 2>&1) \
+  || topfail "shadowtop selftest failed after a restart on the journal"
 kill "$DPID" 2>/dev/null
 wait "$DPID" 2>/dev/null
 rm -rf "$JOURNAL"

@@ -156,5 +156,41 @@ TEST(ClientNackTest, RefusedAckResendsAndCollectsNothing) {
   EXPECT_TRUE(chain.has(1) && chain.has(2));  // nothing garbage-collected
 }
 
+// No server refuses a submit for good (a full server sheds it with
+// ServerBusy), but the reply is peer input: a refusal fails the job with
+// the peer's reason, and nothing is retried.
+TEST(ClientNackTest, RefusedSubmitFailsTheJobWithItsReason) {
+  vfs::Cluster cluster;
+  (void)cluster.add_host("ws").mkdir_p("/home/user");
+  ShadowClient client("ws", ShadowEnvironment{}, &cluster, "net-1");
+  auto pair = net::make_loopback_pair("ws", "super");
+  std::size_t submits = 0;
+  pair.b->set_receiver([&](Bytes wire) {
+    auto m = proto::decode_message(wire);
+    if (m.ok() && std::holds_alternative<proto::SubmitJob>(m.value())) {
+      ++submits;
+    }
+  });
+  client.connect("super", pair.a.get());
+  ShadowClient::SubmitOptions job;
+  job.command_file = "echo ok\n";
+  auto token = client.submit(job);
+  ASSERT_TRUE(token.ok());
+  net::pump(pair);
+  ASSERT_EQ(submits, 1u);
+  proto::SubmitReply refusal;
+  refusal.client_job_token = token.value();
+  refusal.accepted = false;
+  refusal.reason = "job queue full";
+  ASSERT_TRUE(pair.b->send(proto::encode_message(refusal)).ok());
+  net::pump(pair);
+
+  const auto& view = client.jobs().at(token.value());
+  EXPECT_EQ(view.state, proto::JobState::kFailed);
+  EXPECT_EQ(view.detail, "job queue full");
+  EXPECT_FALSE(view.output_received);
+  EXPECT_EQ(submits, 1u);
+}
+
 }  // namespace
 }  // namespace shadow::client

@@ -17,6 +17,7 @@
 #include "proto/messages.hpp"
 #include "server/journal_records.hpp"
 #include "server/shadow_server.hpp"
+#include "telemetry/registry.hpp"
 #include "util/crc32.hpp"
 #include "version/version_store.hpp"
 #include "vfs/cluster.hpp"
@@ -86,24 +87,29 @@ naming::GlobalFileId file_id(const std::string& domain, u64 inode) {
 
 std::string text_of(char c, std::size_t n) { return std::string(n, c); }
 
+/// The cache key of the output of `wc data` writing /home/user/job.out.
+constexpr const char* kOutputKey = "out:ws|/home/user/job.out|wc data\n|";
+
 u32 crc_of(const std::string& s) {
   return crc32(reinterpret_cast<const u8*>(s.data()), s.size());
 }
 
 /// A snapshot holding one of everything: content entries, a digest entry,
-/// a job in each state and a reverse-shadow output entry — in the order
-/// the writer emits them (cache entries least recently used first, jobs
-/// by id, outputs by signature).
+/// a reverse-shadow output entry and a job in each state — in the order
+/// the writer emits them (cache entries least recently used first, then
+/// jobs by id).
 Bytes everything_snapshot() {
   const std::string a = text_of('a', 100);
   const std::string b = text_of('b', 100);
   const cdc::Signature sig =
       cdc::signature_of(text_of('c', 5000), cdc::ChunkerParams{});
   BufWriter w;
-  journal::SnapshotHeader{0, 1, 3 + 6 + 1}.encode(w);
+  journal::SnapshotHeader{0, 1, 4 + 6}.encode(w);
   journal::put_snapshot_record(
       w, journal::ShadowCached{{file_id("net", 1), "net/1", 2, crc_of(a)},
                                a, "ws"});
+  journal::put_snapshot_record(
+      w, journal::ShadowCached{{{}, kOutputKey, 3, crc_of("prev")}, "prev", {}});
   journal::put_snapshot_record(
       w, journal::ShadowDigest{{file_id("net", 3), "net/3", 4,
                                 sig.whole_crc()},
@@ -130,11 +136,11 @@ Bytes everything_snapshot() {
     job.output_name = "/home/user/job.out";
     job.state = state;
     job.detail = proto::job_state_name(state);
-    job.output_content = id > 3 ? "output of job " + std::to_string(id) : "";
+    // Only a finished, undelivered job holds output.
+    job.output_content =
+        id == 4 || id == 5 ? "output of job " + std::to_string(id) : "";
     journal::put_snapshot_record(w, job);
   }
-  journal::put_snapshot_record(
-      w, journal::OutputStored{"ws|/home/user/job.out|wc data", 3, "prev"});
   return w.take();
 }
 
@@ -143,7 +149,7 @@ TEST(ServerSnapshotTest, RestoreThenSaveIsAFixedPoint) {
   server::ShadowServer original(sc);
   const Bytes stream = everything_snapshot();
   ASSERT_TRUE(original.restore_state(stream).ok());
-  ASSERT_EQ(original.file_cache().entry_count(), 3u);
+  ASSERT_EQ(original.file_cache().entry_count(), 4u);
   ASSERT_EQ(original.jobs().size(), 6u);
   // The writer emits exactly the canonical stream it was given...
   const Bytes saved = original.save_state();
@@ -175,11 +181,13 @@ TEST(ServerSnapshotTest, LruRecencySurvivesARestore) {
   for (const auto* entry : restored.file_cache().eviction_order()) {
     order.push_back(entry->key);
   }
-  EXPECT_EQ(order, (std::vector<std::string>{"net/3", "net/2", "net/1"}));
-  // The next put over budget evicts the least recently used: net/3.
+  EXPECT_EQ(order, (std::vector<std::string>{kOutputKey, "net/3", "net/2",
+                                              "net/1"}));
+  // The next put over budget evicts the least recently used: the output.
   restored.file_cache().set_byte_budget(restored.file_cache().bytes_used());
   ASSERT_TRUE(restored.file_cache().put("net/9", 1, "x", 0).ok());
-  EXPECT_FALSE(restored.file_cache().contains("net/3"));
+  EXPECT_FALSE(restored.file_cache().contains(kOutputKey));
+  EXPECT_TRUE(restored.file_cache().contains("net/3"));
   EXPECT_TRUE(restored.file_cache().contains("net/2"));
   EXPECT_TRUE(restored.file_cache().contains("net/1"));
 }
@@ -478,84 +486,146 @@ StateRecords state_records(const Bytes& snapshot) {
   return out;
 }
 
-/// Copy `disk` file by file, recover a twin server (same config) from the
-/// copy, and expect the twin to save the live server's state: the same
-/// cache entries (key, version, CRC, bytes, owner) and the same jobs.
-void expect_twin_recovers_live_state(server::ShadowServer& live,
-                                     persist::MemDir& disk) {
-  (void)live.pump_persist();
-  persist::MemDir copy;
+/// A file-by-file copy of `disk`, as a second process would find it.
+void copy_dir(persist::MemDir& disk, persist::MemDir& copy) {
   for (const std::string& name : disk.list()) {
     auto bytes = disk.read(name);
     ASSERT_TRUE(bytes.ok()) << name;
     ASSERT_TRUE(copy.write_atomic(name, bytes.value()).ok()) << name;
   }
-  persist::DurableStore store(&copy);
-  server::ShadowServer twin(live.config(), nullptr, &store);
-  ASSERT_TRUE(twin.recover_from_storage().ok());
-  const StateRecords want = state_records(live.save_state());
-  const StateRecords got = state_records(twin.save_state());
-  EXPECT_EQ(got.cache.size(), want.cache.size());
-  EXPECT_TRUE(got.cache == want.cache) << "cache records differ";
-  EXPECT_EQ(got.rest.size(), want.rest.size());
-  EXPECT_TRUE(got.rest == want.rest) << "job records differ";
 }
 
-TEST(TwinRecovery, JournaledReverseShadowSessionRecoversLiveState) {
-  vfs::Cluster cluster;
-  (void)cluster.add_host("ws").mkdir_p("/home/user");
-  persist::MemDir disk;
-  persist::DurableStore store(&disk);
-  server::ServerConfig sc;
-  sc.name = "super";
-  sc.reverse_shadow = true;  // and an unbounded cache
-  server::ShadowServer server(sc, nullptr, &store);
-  ASSERT_TRUE(server.recover_from_storage().ok());
-  auto pair = net::make_loopback_pair("ws", "super");
-  server.attach(pair.b.get());
-  client::ShadowClient client("ws", client::ShadowEnvironment{}, &cluster,
-                              "net-1");
-  client::ShadowEditor editor(&client, &cluster);
-  client.connect("super", pair.a.get());
-  auto settle = [&] {
-    do {
-      net::pump(pair);
-    } while (server.pump_persist() > 0);
-  };
-  settle();
+/// A reverse-shadow server journaling to a MemDir (its cache unbounded),
+/// one client over loopback, and twins recovered from copies of the dir.
+class JournaledSession : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    (void)cluster_.add_host("ws").mkdir_p("/home/user");
+    config_.name = "super";
+    config_.reverse_shadow = true;
+    server_ = std::make_unique<server::ShadowServer>(config_, nullptr,
+                                                     &store_);
+    ASSERT_TRUE(server_->recover_from_storage().ok());
+    server_->attach(pair_.b.get());
+    client_.connect("super", pair_.a.get());
+    settle();
+  }
 
+  void settle() {
+    do {
+      net::pump(pair_);
+    } while (server_->pump_persist() > 0);
+  }
+
+  /// Submit `job`, settle, and return its token once its output is in.
+  u64 run(const client::ShadowClient::SubmitOptions& job) {
+    auto token = client_.submit(job);
+    EXPECT_TRUE(token.ok());
+    settle();
+    if (!token.ok()) return 0;
+    EXPECT_TRUE(client_.job_done(token.value()));
+    return token.value();
+  }
+
+  /// A server recovered from a fresh copy of the live server's dir. It
+  /// uses the copy's store, so drop an earlier twin before the next.
+  std::unique_ptr<server::ShadowServer> recover_twin() {
+    (void)server_->pump_persist();
+    twin_store_.reset();
+    twin_disk_ = std::make_unique<persist::MemDir>();
+    copy_dir(disk_, *twin_disk_);
+    twin_store_ = std::make_unique<persist::DurableStore>(twin_disk_.get());
+    auto twin = std::make_unique<server::ShadowServer>(config_, nullptr,
+                                                       twin_store_.get());
+    EXPECT_TRUE(twin->recover_from_storage().ok());
+    return twin;
+  }
+
+  vfs::Cluster cluster_;
+  persist::MemDir disk_;
+  persist::DurableStore store_{&disk_};
+  server::ServerConfig config_;
+  std::unique_ptr<server::ShadowServer> server_;
+  net::LoopbackPair pair_ = net::make_loopback_pair("ws", "super");
+  client::ShadowClient client_{"ws", client::ShadowEnvironment{}, &cluster_,
+                               "net-1"};
+  client::ShadowEditor editor_{&client_, &cluster_};
+  std::unique_ptr<persist::MemDir> twin_disk_;
+  std::unique_ptr<persist::DurableStore> twin_store_;
+};
+
+TEST_F(JournaledSession, TwinRecoversTheLiveState) {
   client::ShadowClient::SubmitOptions job;
   job.files = {"/home/user/f"};
   job.command_file = "sort f\n";
   job.output_path = "/home/user/out";
   job.error_path = "/home/user/err";
   std::string content = core::make_file(6'000, 5);
-  auto run = [&](int edit_seed) {
-    content = core::modify_percent(content, 2, edit_seed);
-    EXPECT_TRUE(editor.create("/home/user/f", content).ok());
-    auto token = client.submit(job);
-    EXPECT_TRUE(token.ok());
-    settle();
-    return token.ok() ? token.value() : 0;
+  auto edit = [&](u64 seed) {
+    content = core::modify_percent(content, 2, seed);
+    ASSERT_TRUE(editor_.create("/home/user/f", content).ok());
   };
-  EXPECT_TRUE(client.job_done(run(1)));
-  EXPECT_TRUE(client.job_done(run(2)));
+  edit(1);
+  run(job);
+  edit(2);
+  run(job);
   // The third run's JobOutputAck never reaches the server: the server sees
   // every other message, so the job stays completed, not delivered.
-  pair.b->set_receiver([&](Bytes wire) {
+  pair_.b->set_receiver([&](Bytes wire) {
     auto m = proto::decode_message(wire);
     if (m.ok() && std::holds_alternative<proto::JobOutputAck>(m.value())) {
       return;
     }
-    server.inject_message(pair.b.get(), std::move(wire));
+    server_->inject_message(pair_.b.get(), std::move(wire));
   });
-  const u64 third = run(3);
-  EXPECT_TRUE(client.job_done(third));
-  ASSERT_EQ(server.jobs().size(), 3u);
-  EXPECT_EQ(server.jobs().all().rbegin()->second.state,
+  edit(3);
+  run(job);
+  ASSERT_EQ(server_->jobs().size(), 3u);
+  EXPECT_EQ(server_->jobs().all().rbegin()->second.state,
             proto::JobState::kCompleted);
-  EXPECT_EQ(server.stats().output_delta_hits, 2u);
-  expect_twin_recovers_live_state(server, disk);
+  EXPECT_EQ(server_->stats().output_delta_hits, 2u);
+
+  // The twin saves the live state: the same cache entries (key, version,
+  // CRC, bytes, owner) and the same jobs.
+  auto twin = recover_twin();
+  const StateRecords want = state_records(server_->save_state());
+  const StateRecords got = state_records(twin->save_state());
+  EXPECT_EQ(got.cache.size(), want.cache.size());
+  EXPECT_TRUE(got.cache == want.cache) << "cache records differ";
+  EXPECT_EQ(got.rest.size(), want.rest.size());
+  EXPECT_TRUE(got.rest == want.rest) << "job records differ";
+}
+
+TEST_F(JournaledSession, OutputEntryIsNoFile) {
+  // No input files, and a command ending in "/<digits>": the output's key
+  // must still never read as a "<domain>/<shadow-id>" file key.
+  client::ShadowClient::SubmitOptions job;
+  job.command_file = "echo a/12";
+  job.output_path = "/home/user/out";
+  job.error_path = "/home/user/err";
+  run(job);
+  const std::string key = "out:ws|/home/user/out|echo a/12|";
+  ASSERT_NE(server_->file_cache().peek(key), nullptr);
+
+  auto twin = recover_twin();
+  const auto* entry = twin->file_cache().peek(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->version, 1u);
+  EXPECT_EQ(entry->content, server_->file_cache().peek(key)->content);
+  EXPECT_EQ(twin->domains().domain_count(), 0u) << "bound a domain";
+  twin->sync_telemetry();
+  EXPECT_EQ(telemetry::Registry::global()
+                .gauge("server.tracked_files")
+                .value(),
+            0.0)
+      << "tracked the output as a file";
+
+  // An eviction record for the output drops the entry on replay.
+  append(store_, journal::body_of(journal::ShadowEvicted{key}));
+  twin.reset();
+  twin = recover_twin();
+  EXPECT_EQ(twin->file_cache().peek(key), nullptr);
+  EXPECT_EQ(twin->file_cache().entry_count(), 0u);
 }
 
 }  // namespace

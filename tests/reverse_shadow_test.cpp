@@ -137,6 +137,91 @@ TEST_F(ReverseShadowTest, ClientLostOutputBaseTriggersResend) {
   EXPECT_GE(fresh->stats().output_nacks_sent, 1u);
 }
 
+/// The cache key of the one reverse-shadow output `server` holds, or "".
+std::string output_key_in(server::ShadowServer& server) {
+  for (const auto* entry : server.file_cache().eviction_order()) {
+    if (entry->key.starts_with("out:")) return entry->key;
+  }
+  return "";
+}
+
+TEST_F(ReverseShadowTest, SameGenerationOtherBytesIsRefusedByCrc) {
+  const std::string v1 = make_file(20'000, 8);
+  run_cycle(v1);
+  auto& server = system_.server("super");
+  const std::string key = output_key_in(server);
+  ASSERT_FALSE(key.empty());
+  // The server's generation 1 now holds other bytes than the client's
+  // (as after an eviction and a lost redelivery): the client must refuse
+  // a delta against it by CRC, nack, and get the output in full.
+  const cache::CacheEntry* held = server.file_cache().peek(key);
+  const u64 generation = held->version;
+  const std::string other = "tampered\n" + held->content;
+  ASSERT_TRUE(server.file_cache().put(key, generation, other, 0).ok());
+  const std::string v2 = modify_percent(v1, 1, 9);
+  run_cycle(v2);
+  auto& client = system_.client("ws");
+  EXPECT_EQ(server.stats().output_delta_hits, 1u);
+  EXPECT_EQ(client.stats().output_nacks_sent, 1u);
+  EXPECT_EQ(client.stats().output_delta_applied, 0u);
+  job::Executor executor;
+  auto expected = executor.run_command_file("sort data.f\n", {{"data.f", v2}});
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(
+      system_.cluster().read_file("ws", "/home/user/sorted.out").value(),
+      expected.value().output);
+}
+
+TEST(ReverseShadowBudgetTest, EvictedOutputShipsInFullWithoutANack) {
+  ShadowSystem system;
+  server::ServerConfig sc;
+  sc.name = "super";
+  sc.reverse_shadow = true;
+  sc.cache_budget = 13'000;  // room for two of the three 6 KB entries
+  system.add_server(sc);
+  system.add_client("ws");
+  system.connect("ws", "super", sim::LinkConfig::cypress_9600());
+  system.settle();
+  auto& editor = system.editor("ws");
+  auto& client = system.client("ws");
+  auto& server = system.server("super");
+  client::ShadowClient::SubmitOptions job;
+  job.files = {"/home/user/data.f"};
+  job.command_file = "sort data.f\n";
+  job.output_path = "/home/user/sorted.out";
+  job.error_path = "/home/user/sorted.err";
+  auto run = [&] {
+    auto token = client.submit(job);
+    ASSERT_TRUE(token.ok());
+    system.settle();
+    ASSERT_TRUE(client.job_done(token.value()));
+  };
+
+  const std::string v1 = make_file(6'000, 10);
+  ASSERT_TRUE(editor.create("/home/user/data.f", v1).ok());
+  run();
+  ASSERT_FALSE(output_key_in(server).empty());
+  // A newer data.f, then a second file: the output is now the least
+  // recently used entry, and the budget evicts it like a file.
+  const std::string v2 = modify_percent(v1, 1, 11);
+  ASSERT_TRUE(editor.create("/home/user/data.f", v2).ok());
+  system.settle();
+  ASSERT_TRUE(editor.create("/home/user/other.f", make_file(6'000, 12)).ok());
+  system.settle();
+  EXPECT_TRUE(output_key_in(server).empty()) << "output not evicted";
+
+  // The re-run finds no base: its output ships in full, and the client,
+  // told it is generation 1 again, takes it without a nack.
+  run();
+  EXPECT_EQ(server.stats().output_delta_hits, 0u);
+  EXPECT_EQ(client.stats().output_nacks_sent, 0u);
+  job::Executor executor;
+  auto expected = executor.run_command_file("sort data.f\n", {{"data.f", v2}});
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(system.cluster().read_file("ws", "/home/user/sorted.out").value(),
+            expected.value().output);
+}
+
 TEST(ReverseShadowConfigTest, DisabledMeansAlwaysFullOutput) {
   ShadowSystem system;
   server::ServerConfig sc;

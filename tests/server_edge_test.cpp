@@ -11,6 +11,8 @@
 #include "compress/compress.hpp"
 #include "diff/diff.hpp"
 #include "net/loopback.hpp"
+#include "persist/durable_store.hpp"
+#include "persist/storage.hpp"
 #include "proto/messages.hpp"
 #include "core/system.hpp"
 #include "core/workload.hpp"
@@ -36,10 +38,11 @@ Bytes pack_delta(const diff::Delta& delta) {
 
 class ServerEdgeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ServerConfig sc;
+  void SetUp() override { start(ServerConfig{}); }
+
+  void start(ServerConfig sc, persist::DurableStore* store = nullptr) {
     sc.name = "super";
-    server_ = std::make_unique<ShadowServer>(sc);
+    server_ = std::make_unique<ShadowServer>(sc, nullptr, store);
     pair_ = net::make_loopback_pair("ws", "super");
     server_->attach(pair_.b.get());
     // Capture everything the server sends back.
@@ -55,7 +58,12 @@ class ServerEdgeTest : public ::testing::Test {
   void send(proto::Message m) {
     ASSERT_TRUE(pair_.a->send(proto::encode_message(m)).ok());
   }
-  void pump() { net::pump(pair_); }
+  /// Deliver everything both ways, fsyncing each batch as a loop would.
+  void pump() {
+    do {
+      net::pump(pair_);
+    } while (server_->pump_persist() > 0);
+  }
 
   template <typename T>
   const T* last_of() const {
@@ -65,6 +73,8 @@ class ServerEdgeTest : public ::testing::Test {
     return nullptr;
   }
 
+  persist::MemDir disk_;  // for tests that start() a journaled server
+  persist::DurableStore store_{&disk_};
   std::unique_ptr<ShadowServer> server_;
   net::LoopbackPair pair_;
   std::vector<proto::Message> received_;
@@ -211,50 +221,55 @@ TEST_F(ServerEdgeTest, AckForUnknownJobNackAlsoIgnored) {
   EXPECT_TRUE(last_of<proto::JobOutput>() == nullptr);
 }
 
-TEST(AdmissionControlTest, QueueFullRejectsAndClientSeesFailure) {
-  core::ShadowSystem system;
-  server::ServerConfig sc;
-  sc.name = "super";
-  sc.max_queued_jobs = 2;
-  sc.max_concurrent_jobs = 1;
-  sc.cpu_ops_per_second = 1e3;  // slow: jobs stay active a long time
-  system.add_server(sc);
-  system.add_client("ws");
-  system.connect("ws", "super", sim::LinkConfig::cypress_9600());
-  system.settle();
+TEST_F(ServerEdgeTest, NackForADeliveredJobSendsNothing) {
+  proto::SubmitJob submit;
+  submit.client_job_token = 4;
+  submit.command_file = "echo done\n";
+  send(submit);
+  pump();
+  const auto* out = last_of<proto::JobOutput>();
+  ASSERT_NE(out, nullptr);
+  const u64 job_id = out->job_id;
+  send(proto::JobOutputAck{job_id, true, ""});
+  pump();
+  const job::JobRecord& job = *server_->jobs().find(job_id).value();
+  EXPECT_EQ(job.state, proto::JobState::kDelivered);
+  EXPECT_TRUE(job.output_content.empty()) << "a delivered job keeps bytes";
+  // A late nack finds no bytes to resend and sends nothing.
+  received_.clear();
+  send(proto::JobOutputAck{job_id, false, "late"});
+  pump();
+  EXPECT_TRUE(last_of<proto::JobOutput>() == nullptr);
+  EXPECT_EQ(server_->stats().outputs_sent, 1u);
+}
 
-  auto& client = system.client("ws");
-  std::vector<u64> tokens;
-  for (int i = 0; i < 4; ++i) {
-    client::ShadowClient::SubmitOptions job;
-    job.command_file = "burn 1000000\necho ok\n";
-    job.output_path = "/home/user/o" + std::to_string(i);
-    job.error_path = "/home/user/e" + std::to_string(i);
-    auto token = client.submit(job);
-    ASSERT_TRUE(token.ok());
-    tokens.push_back(token.value());
-    // Let the submit reach the server before the next one.
-    system.simulator().run_until(system.simulator().now() +
-                                 sim::from_seconds(2));
+TEST_F(ServerEdgeTest, RedeliveredOutputKeepsItsGeneration) {
+  // Reverse shadow with a journal; the job's output is never acked.
+  ServerConfig sc;
+  sc.reverse_shadow = true;
+  start(sc, &store_);
+  proto::SubmitJob submit;
+  submit.client_job_token = 5;
+  submit.command_file = "echo done\n";
+  send(submit);
+  pump();
+  const u64 appends = store_.stats().appends;
+  const u64 puts = server_->file_cache().stats().puts;
+  // Every Hello re-delivers it: the same run, so the same generation, and
+  // nothing stored or journaled again.
+  for (int hello = 0; hello < 2; ++hello) {
+    send(proto::Hello{"ws", "net-x"});
+    pump();
   }
-  system.settle();
-
-  const auto& stats = system.server("super").stats();
-  EXPECT_EQ(stats.jobs_rejected, 2u);
-  EXPECT_EQ(stats.jobs_completed, 2u);
-  // The client's view: two delivered, two refused (kFailed with reason).
-  int failed = 0;
-  int delivered = 0;
-  for (u64 token : tokens) {
-    const auto& view = client.jobs().at(token);
-    if (view.state == proto::JobState::kFailed) {
-      ++failed;
-      EXPECT_NE(view.detail.find("queue full"), std::string::npos);
+  std::vector<u64> generations;
+  for (const auto& m : received_) {
+    if (const auto* out = std::get_if<proto::JobOutput>(&m)) {
+      generations.push_back(out->output_generation);
     }
-    if (view.output_received) ++delivered;
   }
-  EXPECT_EQ(failed, 2);
-  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(generations, (std::vector<u64>{1, 1, 1}));
+  EXPECT_EQ(store_.stats().appends, appends);
+  EXPECT_EQ(server_->file_cache().stats().puts, puts);
 }
 
 TEST_F(ServerEdgeTest, PullCapRespectedAcrossManyNotifies) {

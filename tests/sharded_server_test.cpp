@@ -221,6 +221,12 @@ TEST(ShardedServerTest, RoutedOutputAckReachesTheJobsShard) {
   rig.recipient.send(ack);
   EXPECT_EQ(rig.state(1, rig.routed_id), proto::JobState::kDelivered);
   EXPECT_EQ(rig.state(2, rig.own_id), proto::JobState::kCompleted);
+  // Delivered, the routed job drops its output; the other keeps its own.
+  auto output_of = [&](std::size_t shard, u64 job_id) {
+    return rig.sharded.shard(shard).jobs().find(job_id).value()->output_content;
+  };
+  EXPECT_EQ(output_of(1, rig.routed_id), "");
+  EXPECT_NE(output_of(2, rig.own_id), "");
 }
 
 TEST(ShardedServerTest, RoutedOutputNackResendsTheRoutedJob) {
